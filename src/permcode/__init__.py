@@ -20,6 +20,7 @@ all of it on the command line.
 
 from .core import (
     InvalidWordError,
+    UsageError,
     ascent_set,
     check_permutation,
     check_subexcedant,
@@ -71,6 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InvalidWordError",
+    "UsageError",
     "parse_word",
     "format_word",
     "format_positions",

@@ -26,6 +26,7 @@ from collections.abc import Callable, Sequence
 
 from .core import (
     InvalidWordError,
+    UsageError,
     check_permutation,
     check_subexcedant,
     format_positions,
@@ -265,7 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InvalidWordError, ValueError) as exc:
+    except (InvalidWordError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -17,10 +17,12 @@ index arithmetic is 0-based; the translation happens only here.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 
 __all__ = [
     "InvalidWordError",
+    "UsageError",
     "parse_word",
     "format_word",
     "format_positions",
@@ -61,24 +63,36 @@ class InvalidWordError(ValueError):
         self.position = position
 
 
+class UsageError(ValueError):
+    """Raised when a size, cap or worker count is out of range."""
+
+
+_WORD = re.compile(r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_word(text: str) -> Word:
     """Parse a whitespace-separated word of integers.
+
+    Entries are written with ASCII digits and an optional minus sign,
+    nothing else: no plus sign, underscores or other scripts' digits.
 
     >>> parse_word("6 2 5 8 7 3 1 4")
     (6, 2, 5, 8, 7, 3, 1, 4)
     """
     tokens = text.split()
+    if _WORD.fullmatch(text):
+        return tuple(map(int, tokens))
     if not tokens:
         raise InvalidWordError("empty word")
-    values = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise InvalidWordError(
-                f"entry {pos}: {tok!r} is not an integer", position=pos
-            ) from None
-    return tuple(values)
+    pos, tok = next(
+        (pos, tok)
+        for pos, tok in enumerate(tokens, start=1)
+        if not _INTEGER.fullmatch(tok)
+    )
+    raise InvalidWordError(
+        f"entry {pos}: {tok!r} is not an integer", position=pos
+    )
 
 
 def format_word(word: Sequence[int]) -> str:

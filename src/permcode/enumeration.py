@@ -19,14 +19,15 @@ The verifiers check, over the full domain for one n:
 
 With jobs > 1 a verifier splits its sweep into contiguous blocks
 (permutations by first entry, sequences by a prefix of early entries),
-runs them in worker processes, and merges the per-block partial results
-pointwise; merging is associative and commutative, so any partition of the
-domain yields the same report.
+runs them in worker processes (no more than jobs, blocks or CPUs), and
+merges the per-block partial results pointwise; merging is associative
+and commutative, so any partition of the domain yields the same report.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .core import (
+    UsageError,
     Word,
     ascent_set,
     descent_set,
@@ -63,14 +65,16 @@ __all__ = [
 DEFAULT_CAP = 10
 
 
-def _check_n(n: int, cap: int) -> None:
+def _check_args(n: int, cap: int, jobs: int = 1) -> None:
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     if n > cap:
-        raise ValueError(
+        raise UsageError(
             f"n = {n} exceeds the cap of {cap}; raise the cap explicitly "
             f"if you really want all n! cases"
         )
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
 
 
 def iter_perms(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
@@ -79,7 +83,7 @@ def iter_perms(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     >>> list(iter_perms(3))[:3]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
     """
-    _check_n(n, cap)
+    _check_args(n, cap)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -89,7 +93,7 @@ def iter_subexcedant(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     >>> list(iter_subexcedant(3))
     [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
-    _check_n(n, cap)
+    _check_args(n, cap)
     return itertools.product(*(range(i) for i in range(1, n + 1)))
 
 
@@ -226,9 +230,12 @@ def _iter_seq_block(n: int, block) -> Iterator[Word]:
 
 
 def _run_blocks(worker, n: int, blocks: list, jobs: int) -> list:
-    if jobs <= 1 or len(blocks) <= 1:
+    # a pool starts all its workers at once: never more than there are
+    # blocks to run or CPUs to run them on
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(n, block) for block in blocks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, itertools.repeat(n), blocks))
 
 
@@ -285,7 +292,7 @@ def _five_tuple_block(n: int, block) -> tuple[int, dict | None]:
 
 def verify_five_tuples(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
     """Pointwise transport of the five statistics, over all of S_n."""
-    _check_n(n, cap)
+    _check_args(n, cap, jobs)
     results = _run_blocks(_five_tuple_block, n, _perm_blocks(n, jobs), jobs)
     cases = sum(c for c, _ in results)
     fail = next((f for _, f in results if f is not None), None)
@@ -334,7 +341,7 @@ def _bijection_seq_block(n: int, block) -> tuple[int, dict | None]:
 
 def verify_bijection(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
     """Distinct full image plus both round-trip identities."""
-    _check_n(n, cap)
+    _check_args(n, cap, jobs)
     size = factorial(n)
     perm_results = _run_blocks(
         _bijection_perm_block, n, _perm_blocks(n, jobs), jobs
@@ -401,7 +408,7 @@ def verify_asc_row_exchange(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Re
     about the cardinality statistics: the set-valued pair cannot exchange,
     since ascents live in 1..n-1 while row positions live in 2..n.
     """
-    _check_n(n, cap)
+    _check_args(n, cap, jobs)
     results = _run_blocks(_exchange_block, n, _seq_blocks(n, jobs), jobs)
     cases = sum(c for c, _, _, _ in results)
     fail = next((f for _, _, _, f in results if f is not None), None)
@@ -454,7 +461,7 @@ def _marginal_seq_block(n: int, block) -> tuple[int, Counter, Counter]:
 def verify_eulerian_marginals(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
     """des, ides, dumont (over permutations) and asc, row (over sequences)
     all share one distribution."""
-    _check_n(n, cap)
+    _check_args(n, cap, jobs)
     perm_results = _run_blocks(
         _marginal_perm_block, n, _perm_blocks(n, jobs), jobs
     )

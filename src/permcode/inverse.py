@@ -26,15 +26,30 @@ chain is then rewritten by the case classification of the code
 (permcode.slices.code_cases) and relabeled exactly like the encoder
 relabels intervals.  After n steps the collected Lehmer entries decode to
 the permutation.
+
+slice_decode runs the same steps on a leaner state: a Fenwick tree of the
+live labels, where the slice index of s_i is its rank, and the profile
+counts alone, one per slice (_Gaps).  A step costs O(log n) plus one
+C-level sum inside a bucket of fewer than 2 * _LOAD counts.  The SegmentChain
+spells the state out and replays the decode under slice_decode(check=True).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import _fenwick as fenwick
 from .core import Word, check_subexcedant
 from .lehmer import lehmer_decode
-from .slices import REMOVE, SHRINK_BOTTOM, SHRINK_TOP, SPLIT, _shift_labels, code_cases
+from .slices import (
+    REMOVE,
+    SHRINK_BOTTOM,
+    SHRINK_TOP,
+    SPLIT,
+    _shift_labels,
+    code_cases,
+    relabel,
+)
 
 __all__ = ["SegmentChain", "slice_decode", "roundtrip_check"]
 
@@ -127,12 +142,108 @@ class SegmentChain:
         assert sum(self.profile_cards()) == step, segs
 
 
+# A bucket of _Gaps splits in half when it reaches 2 * _LOAD counts.
+_LOAD = 1000
+
+
+class _Gaps:
+    """The profile counts of a SegmentChain, one per slice segment.
+
+    gaps[v] is the number of values covered by the profile segment directly
+    above slice v; gaps[0] is the top profile, 0 while there is none.  The
+    counts live in buckets with per-bucket sums.  Once there is more than
+    one bucket, Fenwick trees over the bucket lengths and sums find the
+    bucket of a position and the sum before it in O(log n).
+    """
+
+    def __init__(self) -> None:
+        self._lists = [[0]]
+        self._sums = [0]
+        self._lens_tree: list[int] | None = None
+        self._sums_tree: list[int] | None = None
+
+    def top(self) -> int:
+        return self._lists[0][0]
+
+    def step(self, case: int, v: int, entry: int) -> int:
+        """Values covered above slice v; then the `case` rewrite there.
+
+        The same rewrite as SegmentChain.apply, with its assertions, for
+        code entry `entry` located at slice v.
+        """
+        lists = self._lists
+        if self._lens_tree is None:
+            b, j = 0, v
+        else:
+            b = fenwick.select(self._lens_tree, v)
+            j = v - fenwick.prefix(self._lens_tree, b)
+        bucket = lists[b]
+        if 2 * j < len(bucket):
+            above = sum(bucket[: j + 1])
+        else:
+            above = self._sums[b] - sum(bucket[j + 1 :])
+        if b:
+            above += fenwick.prefix(self._sums_tree, b)
+        if case == SPLIT:
+            bucket.insert(j + 1, 1)
+            self._resized(b, 1, 1)
+            return above
+        if case & SHRINK_TOP:
+            # the consumed value tops its interval; it is n exactly when
+            # slice v is the chain's top, which happens exactly on label 0
+            assert (v == 0 and bucket[0] == 0) == (entry == 0), (v, entry)
+            if case == SHRINK_TOP:
+                bucket[j] += 1
+                self._resized(b, 0, 1)
+                return above
+        # SHRINK_BOTTOM and REMOVE: the freed minimum adjoins the profile
+        # below, which exists: slice v held a value above 0, so it is not
+        # the last slice
+        nb, nj = (b, j + 1) if j + 1 < len(bucket) else (b + 1, 0)
+        assert nb < len(lists), (v, entry)
+        if case == SHRINK_BOTTOM:
+            lists[nb][nj] += 1
+            self._resized(nb, 0, 1)
+        else:
+            below = lists[nb].pop(nj)
+            bucket[j] += 1 + below
+            self._resized(b, 0, 1 + below)
+            self._resized(nb, -1, -below)
+        return above
+
+    def _resized(self, b: int, length: int, total: int) -> None:
+        """Bucket b changed by `length` counts summing to `total`."""
+        self._sums[b] += total
+        bucket = self._lists[b]
+        if bucket and len(bucket) < 2 * _LOAD:
+            if self._lens_tree is not None:
+                fenwick.add(self._lens_tree, b, length)
+                fenwick.add(self._sums_tree, b, total)
+            return
+        if bucket:  # split in half
+            half = bucket[_LOAD:]
+            del bucket[_LOAD:]
+            self._lists.insert(b + 1, half)
+            self._sums.insert(b + 1, sum(half))
+            self._sums[b] -= self._sums[b + 1]
+        else:
+            del self._lists[b], self._sums[b]
+        if len(self._lists) == 1:
+            self._lens_tree = self._sums_tree = None
+        else:
+            self._lens_tree = fenwick.build(map(len, self._lists))
+            self._sums_tree = fenwick.build(self._sums)
+
+
 def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
     """Inverse of permcode.slices.slice_encode.
 
-    With check=True the chain invariants are verified after every step and
-    the finished chain history is compared against the slices and profiles
-    of the decoded permutation.
+    Runs on the shape of the chain alone (see the module docstring): a
+    Fenwick tree of the live labels gives the slice index of each code
+    entry, and _Gaps the profile counts above it.  With check=True a SegmentChain replays
+    the decode, its invariants are verified after every step, and its
+    history is compared against the slices and profiles of the decoded
+    permutation.
 
     >>> slice_decode((0, 1, 1, 0, 2, 3, 6, 3))
     (6, 2, 5, 8, 7, 3, 1, 4)
@@ -145,32 +256,44 @@ def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
     check_subexcedant(word)
     n = len(word)
     cases = code_cases(word)
-    chain = SegmentChain()
+    live = [0] * (n + 2)  # over the labels 0..n
+    fenwick.add(live, 0, 1)
+    gaps = _Gaps()
+    # from step last_zero + 2 on no 0 remains in the code, i.e. the value
+    # n is consumed already and the chain starts with a profile segment
+    last_zero = n - 1 - word[::-1].index(0)
     code = []
+    for i, entry in enumerate(word):
+        v = fenwick.prefix(live, entry)
+        # entry is a live label
+        assert fenwick.prefix(live, entry + 1) == v + 1, (word, i)
+        assert (i > last_zero) == (gaps.top() > 0), (word, i)
+        code.append(gaps.step(cases[i], v, entry))
+        relabel(live, cases[i], entry, i + 1)
+    lehmer = tuple(code)
+    perm = lehmer_decode(lehmer)
+    if check:
+        _check_history(perm, lehmer, _chain_history(word, cases, lehmer))
+    return perm
+
+
+def _chain_history(
+    word: Word, cases: Word, code: Word
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Replay the decode on a SegmentChain, checking it after every step."""
+    n = len(word)
+    chain = SegmentChain()
     history = []
-    # suffix_top[i]: no 0 in word[i:], i.e. the value n is consumed already
-    # and the chain must start with a profile segment
-    suffix_top = [False] * n
-    zero_free = True
-    for i in range(n - 1, -1, -1):
-        zero_free = zero_free and word[i] != 0
-        suffix_top[i] = zero_free
     for i in range(n):
         step = i + 1
         pos = chain.locate(word[i])
-        assert suffix_top[i] == chain.top_is_profile, (word, i)
-        code.append(chain.covered_above(pos))
+        assert chain.top_is_profile == (0 not in word[i:]), (word, i)
+        assert chain.covered_above(pos) == code[i], (word, i)
         chain.apply(cases[i], word[i], pos, step)
-        if check:
-            chain.check(step)
-            if step < n:
-                history.append(
-                    (chain.slice_labels(), chain.profile_cards())
-                )
-    perm = lehmer_decode(tuple(code))
-    if check:
-        _check_history(perm, tuple(code), history)
-    return perm
+        chain.check(step)
+        if step < n:
+            history.append((chain.slice_labels(), chain.profile_cards()))
+    return history
 
 
 def _check_history(

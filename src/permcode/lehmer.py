@@ -5,14 +5,16 @@ whose j-th entry counts the inversions ending at j:
 
     L(p)_j = #{i < j : p_i > p_j}.
 
-It is a classical bijection onto the subexcedant sequences; decoding picks
-values right to left by order statistics.
+It is a classical bijection onto the subexcedant sequences.  Encoding
+counts the smaller values seen so far on a Fenwick tree, in O(n log n);
+decoding picks values right to left by order statistics.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import _fenwick as fenwick
 from .core import Word, check_permutation, check_subexcedant, last_value_set
 
 __all__ = ["lehmer_encode", "lehmer_decode", "dumont_stat"]
@@ -28,10 +30,13 @@ def lehmer_encode(perm: Sequence[int]) -> Word:
     """
     word = tuple(perm)
     check_permutation(word)
-    return tuple(
-        sum(1 for i in range(j) if word[i] > word[j])
-        for j in range(len(word))
-    )
+    # seen values, at their own index: L(p)_j = j - #{seen values < p_j}
+    seen = [0] * (len(word) + 2)
+    out = []
+    for j, x in enumerate(word):
+        out.append(j - fenwick.prefix(seen, x))
+        fenwick.add(seen, x, 1)
+    return tuple(out)
 
 
 def lehmer_decode(seq: Sequence[int]) -> Word:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 from collections.abc import Sequence
 
+from . import _fenwick as fenwick
 from .core import Word, check_permutation, check_subexcedant
 
 __all__ = [
@@ -153,17 +154,28 @@ def _locate(intervals: Sequence[LabeledInterval], value: int) -> int:
 def _shift_labels(labels: Sequence[int], case: int, v: int, step: int) -> list[int]:
     """Surviving labels after a step-`step` rewrite at list position v."""
     kept = list(labels)
-    if case == SPLIT:
-        pass
-    elif case == SHRINK_TOP:
-        del kept[v]
-    elif case == SHRINK_BOTTOM:
+    if case & SHRINK_BOTTOM:  # the last label dies, never the one at v
         del kept[-1]
-    else:
+    if case & SHRINK_TOP:  # the label at v dies
         del kept[v]
-        del kept[-1]
     kept.append(step)
     return kept
+
+
+def relabel(live: list[int], case: int, label: int, step: int) -> None:
+    """The label rule of _shift_labels, by label value, on a Fenwick tree.
+
+    `live` counts the live labels (see permcode._fenwick) before the
+    step-`step` rewrite at the interval labeled `label`.  On SHRINK_TOP
+    and REMOVE that label dies; on SHRINK_BOTTOM and REMOVE the last label,
+    which is always step - 1, dies; then label step is born.  The encoder
+    and the decoder both relabel through here.
+    """
+    if case & SHRINK_TOP:
+        fenwick.add(live, label, -1)
+    if case & SHRINK_BOTTOM:
+        fenwick.add(live, step - 1, -1)
+    fenwick.add(live, step, 1)
 
 
 def _advance(
@@ -194,6 +206,12 @@ def _advance(
 def slice_encode(perm: Sequence[int]) -> Word:
     """The slice code of a permutation.
 
+    Runs in O(n log n) without materialising the intervals: they are
+    known by their bottoms, so the index of the interval holding a value
+    is the number of bottoms above it, and whether the value tops or
+    bottoms its interval is whether its successor or predecessor has been
+    seen.  One Fenwick tree holds the bottoms, a second the live labels.
+
     >>> slice_encode((6, 2, 5, 8, 7, 3, 1, 4))
     (0, 1, 1, 0, 2, 3, 6, 3)
     >>> slice_encode((1, 2, 3, 4))
@@ -204,13 +222,31 @@ def slice_encode(perm: Sequence[int]) -> Word:
     word = tuple(perm)
     check_permutation(word)
     n = len(word)
-    state = [LabeledInterval(0, n, 0)]
+    # seen[0] stays 0 (0 is never consumed); n + 1 counts as seen, so the
+    # case of x is [x tops its interval] + 2 * [x bottoms it]
+    seen = bytearray(n + 2)
+    seen[n + 1] = 1
+    bottoms = [0] * (n + 2)  # over 0..n
+    live = [0] * (n + 1)  # over 0..n-1
+    fenwick.add(bottoms, 0, 1)  # the interval [0, n]
+    fenwick.add(live, 0, 1)  # with label 0
+    count = 1  # number of intervals
     out = []
-    for step, value in enumerate(word, start=1):
-        v = _locate(state, value)
-        out.append(state[v].label)
-        if step < n:
-            state, _ = _advance(state, v, value, step)
+    for step, x in enumerate(word, start=1):
+        v = count - fenwick.prefix(bottoms, x + 1)  # intervals above x
+        label = fenwick.select(live, v)
+        out.append(label)
+        if step == n:
+            break
+        seen[x] = 1
+        case = seen[x + 1] + 2 * seen[x - 1]
+        if case & SHRINK_BOTTOM:  # x was its interval's bottom
+            fenwick.add(bottoms, x, -1)
+            count -= 1
+        if not case & SHRINK_TOP:  # x + 1 becomes a bottom
+            fenwick.add(bottoms, x + 1, 1)
+            count += 1
+        relabel(live, case, label, step)
     return tuple(out)
 
 

@@ -105,3 +105,126 @@ def preimages(code, encode):
     return [
         p for p in permutations(range(1, n + 1)) if encode(p) == code
     ]
+
+
+# ---------------------------------------------------------------------------
+# The quadratic codecs the package shipped before its Fenwick-tree rewrite,
+# copied verbatim (only renamed) as references for the fast ones: the
+# interval walk of the slice encoder, the SegmentChain loop of the slice
+# decoder, and the pairwise Lehmer encoder.
+
+from typing import NamedTuple  # noqa: E402
+
+from permcode import (  # noqa: E402
+    REMOVE,
+    SHRINK_BOTTOM,
+    SHRINK_TOP,
+    SPLIT,
+    SegmentChain,
+    check_permutation,
+    check_subexcedant,
+    code_cases,
+    lehmer_decode,
+)
+
+
+class LabeledInterval(NamedTuple):
+    lo: int
+    hi: int
+    label: int
+
+
+def _locate(intervals, value):
+    """Index of the interval containing value; they are decreasing."""
+    for idx, (lo, hi, _) in enumerate(intervals):
+        if lo <= value <= hi:
+            return idx
+    raise AssertionError(f"value {value} lies in no interval: {intervals}")
+
+
+def _shift_labels(labels, case, v, step):
+    """Surviving labels after a step-`step` rewrite at list position v."""
+    kept = list(labels)
+    if case == SPLIT:
+        pass
+    elif case == SHRINK_TOP:
+        del kept[v]
+    elif case == SHRINK_BOTTOM:
+        del kept[-1]
+    else:
+        del kept[v]
+        del kept[-1]
+    kept.append(step)
+    return kept
+
+
+def _advance(intervals, v, value, step):
+    """Apply the step-`step` rewrite at interval v; return (state, case)."""
+    lo, hi, _ = intervals[v]
+    spans = [(iv.lo, iv.hi) for iv in intervals]
+    if lo < value < hi:
+        case = SPLIT
+        spans[v : v + 1] = [(value + 1, hi), (lo, value - 1)]
+    elif lo < value == hi:
+        case = SHRINK_TOP
+        spans[v] = (lo, value - 1)
+    elif lo == value < hi:
+        case = SHRINK_BOTTOM
+        spans[v] = (value + 1, hi)
+    else:
+        case = REMOVE
+        del spans[v]
+    labels = _shift_labels([iv.label for iv in intervals], case, v, step)
+    state = [
+        LabeledInterval(a, b, lab) for (a, b), lab in zip(spans, labels)
+    ]
+    return state, case
+
+
+def slice_encode_walk(perm):
+    """The slice code by the explicit interval walk, Θ(n²)."""
+    word = tuple(perm)
+    check_permutation(word)
+    n = len(word)
+    state = [LabeledInterval(0, n, 0)]
+    out = []
+    for step, value in enumerate(word, start=1):
+        v = _locate(state, value)
+        out.append(state[v].label)
+        if step < n:
+            state, _ = _advance(state, v, value, step)
+    return tuple(out)
+
+
+def slice_decode_chain(seq):
+    """The slice decoder driven by a SegmentChain, Θ(n²)."""
+    word = tuple(seq)
+    check_subexcedant(word)
+    n = len(word)
+    cases = code_cases(word)
+    chain = SegmentChain()
+    code = []
+    # suffix_top[i]: no 0 in word[i:], i.e. the value n is consumed already
+    # and the chain must start with a profile segment
+    suffix_top = [False] * n
+    zero_free = True
+    for i in range(n - 1, -1, -1):
+        zero_free = zero_free and word[i] != 0
+        suffix_top[i] = zero_free
+    for i in range(n):
+        step = i + 1
+        pos = chain.locate(word[i])
+        assert suffix_top[i] == chain.top_is_profile, (word, i)
+        code.append(chain.covered_above(pos))
+        chain.apply(cases[i], word[i], pos, step)
+    return lehmer_decode(tuple(code))
+
+
+def lehmer_encode_pairwise(perm):
+    """Inversion-count code by pairwise comparison, Θ(n²)."""
+    word = tuple(perm)
+    check_permutation(word)
+    return tuple(
+        sum(1 for i in range(j) if word[i] > word[j])
+        for j in range(len(word))
+    )

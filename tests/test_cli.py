@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from permcode import Report, cli
 
-GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_trace.txt"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_TRACE = ROOT / "tests" / "data" / "golden_trace.txt"
 
 
 def run(argv, stdin=None, monkeypatch=None):
@@ -28,14 +30,50 @@ def test_trace_matches_golden_file_bytes():
     assert proc.stdout == GOLDEN_TRACE.read_bytes()
 
 
-def test_console_script_entry_point():
-    proc = subprocess.run(
-        ["permcode", "encode", "6 2 5 8 7 3 1 4"],
-        capture_output=True,
-        text=True,
+def console_script_target(name):
+    """The `module:function` that pyproject.toml installs as script `name`."""
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the one table by hand
+        table = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        scripts = {}
+        for line in table.splitlines():
+            key, sep, value = line.partition("=")
+            if sep:
+                scripts[key.strip()] = value.strip().strip("\"'")
+    else:
+        scripts = tomllib.loads(text)["project"]["scripts"]
+    return scripts[name]
+
+
+def run_from_source(argv):
+    """Run a command with src/ first on the path, as an install would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_console_script_entry_point():
+    module, function = console_script_target("permcode").split(":")
+    # what the installed `permcode` script runs
+    script = (
+        f"import sys; from {module} import {function}; "
+        f"sys.argv[0] = 'permcode'; sys.exit({function}())"
+    )
+    proc = run_from_source(["-c", script, "encode", "6 2 5 8 7 3 1 4"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 1 1 0 2 3 6 3"
+
+
+def test_python_dash_m_permcode():
+    proc = run_from_source(["-m", "permcode", "decode", "0 1 1 0 2 3 6 3"])
+    assert proc.returncode == 0
+    assert proc.stdout == "6 2 5 8 7 3 1 4\n"
 
 
 def test_encode_decode(capsys):
@@ -182,6 +220,27 @@ def test_verify_counterexample_exit_1(capsys, monkeypatch):
 def test_verify_cap_error_exit_2(capsys):
     assert run(["verify", "--n", "12"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_verify_jobs_below_one_exit_2(capsys):
+    for jobs in ("0", "-3"):
+        assert run(["verify", "--n", "3", "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(n, cap, jobs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli._CHECKS, "2", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["verify", "--n", "2", "--theorem", "2"])
+
+
+@pytest.mark.parametrize("text", ["1_0 2", "2 \u0662 1", "+1 2", "1 2.0"])
+def test_non_ascii_integer_entries_exit_2(capsys, text):
+    assert run(["encode", text]) == 2
+    assert "is not an integer" in capsys.readouterr().err
 
 
 def test_table_text(capsys):

@@ -151,6 +151,30 @@ def test_parse_rejects_non_integers():
     assert "entry 3" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, position, token",
+    [
+        ("1_0 2", 1, "1_0"),  # int() reads underscores as separators
+        ("3 \u0662 1", 2, "\u0662"),  # ARABIC-INDIC DIGIT TWO
+        ("2 1 \uff13", 3, "\uff13"),  # FULLWIDTH DIGIT THREE
+        ("+3 1 2", 1, "+3"),
+        ("1 - 2", 2, "-"),
+        ("1 --2", 2, "--2"),
+        ("1 2.0", 2, "2.0"),
+        ("0x1 2", 1, "0x1"),
+    ],
+)
+def test_parse_accepts_only_ascii_integers(text, position, token):
+    with pytest.raises(InvalidWordError) as exc:
+        parse_word(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"entry {position}: {token!r} is not an integer"
+
+
+def test_parse_keeps_signs_and_leading_zeros():
+    assert parse_word("\t-1 007\n 0") == (-1, 7, 0)
+
+
 def test_empty_inputs_rejected():
     for fn in (descent_set, ascent_set, lrmax_set, zero_set, last_value_set):
         with pytest.raises(InvalidWordError):

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from permcode import (
     DistTable,
+    UsageError,
     double_eulerian,
     iter_perms,
     iter_subexcedant,
@@ -16,6 +17,7 @@ from permcode import (
     verify_eulerian_marginals,
     verify_five_tuples,
 )
+from permcode import enumeration
 from permcode.enumeration import (
     _iter_perm_block,
     _iter_seq_block,
@@ -201,3 +203,60 @@ def test_verifier_reports_name_their_check():
     assert verify_bijection(2).check == "bijection"
     assert verify_asc_row_exchange(2).check == "corollary2"
     assert verify_eulerian_marginals(2).check == "eulerian"
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, n, workers",
+    [
+        (64, 2, 5, [2, 2]),  # clamped to the CPUs
+        (64, 8, 3, [3, 6]),  # clamped to the 3 and the 6 blocks
+        (2, 8, 5, [2, 2]),
+        (4, None, 5, []),  # CPU count unknown: one worker, no pool
+        (1, 8, 5, []),
+    ],
+)
+def test_pool_size_is_clamped(monkeypatch, jobs, cpus, n, workers):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+    report = verify_eulerian_marginals(n, jobs=jobs)
+    assert report.passed and report.cases == 2 * factorial(n)
+    assert RecordingPool.sizes == workers
+
+
+def test_jobs_below_one_rejected():
+    for verifier in (
+        verify_five_tuples,
+        verify_bijection,
+        verify_asc_row_exchange,
+        verify_eulerian_marginals,
+    ):
+        for jobs in (0, -1):
+            with pytest.raises(UsageError, match="jobs"):
+                verifier(3, jobs=jobs)
+
+
+def test_usage_errors_are_value_errors():
+    with pytest.raises(UsageError):
+        iter_perms(0)
+    with pytest.raises(UsageError):
+        verify_five_tuples(11)
+    assert issubclass(UsageError, ValueError)
