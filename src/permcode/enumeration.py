@@ -5,23 +5,25 @@ lexicographic order, or all n! subexcedant sequences of length n in
 mixed-radix counting order.  A cap guards against accidental factorial
 blowups; pass a larger cap explicitly to go past it.
 
-The verifiers check, over the full domain for one n:
+The verifiers walk the prefixes of S_n depth first, one slice encoder step
+per prefix, with the encoder step and decoder kernel that slice_encode and
+slice_decode run, so they certify the shipped codec:
 
 * verify_five_tuples: the slice code transports (Des, Ides, LrM, Lrm, RlM)
   of the permutation to (Asc, Row, Pos0, Max, Rlm) of the code, pointwise;
-* verify_bijection: the slice code hits every subexcedant sequence exactly
-  once and both round trips are identities;
+* verify_bijection: every code is subexcedant and decodes back to its
+  permutation, which makes the code a bijection onto the sequences;
 * verify_asc_row_exchange: s -> slice_encode(invert(slice_decode(s)))
   swaps (Asc, Row) to (Row, Asc) pointwise, so the two joint tables agree;
-* verify_eulerian_marginals: des, ides (over permutations), asc, row (over
-  sequences) and the distinct-nonzero-Lehmer-entry statistic all share one
-  distribution, the Eulerian numbers.
+* verify_eulerian_marginals: des, ides, the distinct-nonzero-Lehmer-entry
+  statistic (over permutations), asc and row (over sequences, by dynamic
+  programs) all share one distribution, the Eulerian numbers.
 
-With jobs > 1 a verifier splits its sweep into contiguous blocks
-(permutations by first entry, sequences by a prefix of early entries),
-runs them in worker processes (no more than jobs, blocks or CPUs), and
-merges the per-block partial results pointwise; merging is associative
-and commutative, so any partition of the domain yields the same report.
+With jobs > 1 the blocks of the walk, one per first entry, run in worker
+processes (no more than jobs, blocks or CPUs).  Reports do not depend on
+jobs: a counterexample is the first failing permutation in lexicographic
+order and cases its position (the domain size on PASS); an exception
+raised while checking a permutation fails it with repr() of the error.
 """
 
 from __future__ import annotations
@@ -29,15 +31,21 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from math import factorial
 
+from . import inverse as _inverse
+from . import slices as _slices
 from .core import (
+    InvalidWordError,
     UsageError,
     Word,
     ascent_set,
+    check_subexcedant,
     descent_set,
     inverse_descent_set,
     invert,
@@ -45,9 +53,7 @@ from .core import (
     perm_stats,
     seq_stats,
 )
-from .inverse import slice_decode
 from .lehmer import dumont_stat
-from .slices import slice_encode
 
 __all__ = [
     "DEFAULT_CAP",
@@ -97,25 +103,6 @@ def iter_subexcedant(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     return itertools.product(*(range(i) for i in range(1, n + 1)))
 
 
-def seq_rank(seq: Word) -> int:
-    """Position of a subexcedant sequence in counting order, in 0..n!-1.
-
-    The rightmost entry varies fastest, so entry i carries weight n!/i!.
-    """
-    n = len(seq)
-    return sum(
-        v * (factorial(n) // factorial(i))
-        for i, v in enumerate(seq, start=1)
-    )
-
-
-def seq_unrank(rank: int, n: int) -> Word:
-    """Inverse of seq_rank for length n."""
-    return tuple(
-        (rank // (factorial(n) // factorial(i))) % i for i in range(1, n + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # distribution tables
 
@@ -136,15 +123,6 @@ class DistTable:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def merge(self, other: "DistTable") -> "DistTable":
-        """Pointwise sum; the block-merge operation for partitioned runs."""
-        if other.n != self.n:
-            raise ValueError("cannot merge tables for different n")
-        merged = dict(self.counts)
-        for key, cnt in other.counts.items():
-            merged[key] = merged.get(key, 0) + cnt
-        return DistTable(self.n, merged)
 
     def as_matrix(self) -> list[list[int]]:
         """Dense n x n matrix for integer-pair keys, indexed [d][e]."""
@@ -190,53 +168,83 @@ def double_eulerian(n: int, side: str = "perms", cap: int = DEFAULT_CAP) -> Dist
 
 
 # ---------------------------------------------------------------------------
-# partitioned sweeps
-
-# A block is None (the whole stream) or a tuple: the first entry of the
-# permutations in the block, or the fixed prefix of entries 2..k of the
-# sequences in the block.  Blocks are contiguous runs of the lexicographic
-# (resp. counting) order, and together they partition the domain.
+# the walk over S_n, in blocks
 
 
-def _perm_blocks(n: int, jobs: int) -> list:
-    if jobs <= 1 or n < 2:
-        return [None]
-    return [(first,) for first in range(1, n + 1)]
+def _nth_perm(n: int, rank: int) -> Word:
+    """The permutation of lexicographic rank `rank`; failures only."""
+    return next(itertools.islice(iter_perms(n, cap=n), rank, None))
 
 
-def _iter_perm_block(n: int, block) -> Iterator[Word]:
-    if block is None:
-        return itertools.permutations(range(1, n + 1))
-    first = block[0]
-    rest = [v for v in range(1, n + 1) if v != first]
-    return ((first, *tail) for tail in itertools.permutations(rest))
+def _failed(n: int, block: Word, passed: int, fail: dict | Exception) -> tuple:
+    """The result of a block whose first `passed` permutations passed."""
+    rank = (block[0] - 1) * factorial(n - 1) + passed if block else passed
+    if isinstance(fail, Exception):
+        fail = {"perm": list(_nth_perm(n, rank)), "error": repr(fail)}
+    return rank + 1, fail, None
 
 
-def _seq_blocks(n: int, jobs: int) -> list:
-    if jobs <= 1 or n < 2:
-        return [None]
-    width = 2
-    while factorial(width) < 2 * jobs and width < min(n, 5):
-        width += 1
-    return list(itertools.product(*(range(i) for i in range(2, width + 1))))
+def _walk(n: int, block: Word, leaf: Callable, payload=None) -> tuple:
+    """Call leaf(p, slice code of p) for the permutations p of a block in
+    lexicographic order until one returns a counterexample; return the
+    block's result.  Each prefix costs one encoder step on a copy of its
+    parent's state.  A step raises for every extension of its prefix, so
+    the first one not yet passed has failed, as when leaf raises."""
+    encode_step = _slices._encode_step
+    perm = [0] * n
+    code = [0] * n
+    passed = 0
+
+    def descend(depth, free, seen, bottoms, live, count):
+        nonlocal passed
+        step = depth + 1
+        if step == n:
+            x = perm[depth] = free[0]
+            code[depth] = encode_step(seen, bottoms, live, count, step, x)[0]
+            fail = leaf(tuple(perm), tuple(code))
+            passed += fail is None
+            return fail
+        for j, x in enumerate(free):
+            s, b, v = bytearray(seen), bottoms[:], live[:]
+            perm[depth] = x
+            code[depth], c = encode_step(s, b, v, count, step, x)
+            fail = descend(step, free[:j] + free[j + 1 :], s, b, v, c)
+            if fail is not None:
+                return fail
+        return None
+
+    try:
+        seen, bottoms, live, count = _slices._encode_start(n)
+        for step, x in enumerate(block, start=1):
+            perm[step - 1] = x
+            code[step - 1], count = encode_step(seen, bottoms, live, count, step, x)
+        free = [v for v in range(1, n + 1) if v not in block]
+        fail = descend(len(block), free, seen, bottoms, live, count)
+    except Exception as exc:  # a bug in the checked code is a failure
+        fail = exc
+    return (passed, None, payload) if fail is None else _failed(n, block, passed, fail)
 
 
-def _iter_seq_block(n: int, block) -> Iterator[Word]:
-    if block is None:
-        return itertools.product(*(range(i) for i in range(1, n + 1)))
-    width = len(block) + 1
-    tails = itertools.product(*(range(i) for i in range(width + 1, n + 1)))
-    return ((0, *block, *tail) for tail in tails)
-
-
-def _run_blocks(worker, n: int, blocks: list, jobs: int) -> list:
+def _sweep(worker, n: int, jobs: int, merge=None) -> tuple[int, dict | None]:
+    """(cases, counterexample) of worker(n, block) run on each block of S_n
+    in order until one fails; passing blocks' payloads go to merge.  A block
+    is the first entry shared by a run of the lexicographic order (() when
+    n = 1), for serial runs too.  A worker returns (cases, counterexample,
+    payload), cases being the block's size or the failure's position."""
+    blocks = [()] if n < 2 else [(first,) for first in range(1, n + 1)]
     # a pool starts all its workers at once: never more than there are
     # blocks to run or CPUs to run them on
     workers = min(jobs, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(n, block) for block in blocks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, itertools.repeat(n), blocks))
+    total = 0
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if workers > 1 else map
+        for cases, fail, payload in run(worker, itertools.repeat(n), blocks):
+            if fail is not None:
+                return cases, fail
+            total += cases
+            if merge is not None:
+                merge(payload)
+    return total, None
 
 
 # ---------------------------------------------------------------------------
@@ -270,134 +278,122 @@ class Report:
         return line
 
 
-def _stats_payload(stats) -> list[list[int]]:
-    return [list(part) for part in stats]
-
-
-def _five_tuple_block(n: int, block) -> tuple[int, dict | None]:
-    cases = 0
-    for p in _iter_perm_block(n, block):
-        cases += 1
-        code = slice_encode(p)
-        left, right = perm_stats(p), seq_stats(code)
-        if left != right:
-            return cases, {
-                "perm": list(p),
-                "code": list(code),
-                "perm_stats": _stats_payload(left),
-                "code_stats": _stats_payload(right),
-            }
-    return cases, None
+def _five_tuple_failure(p: Word, code: Word) -> dict | None:
+    left, right = perm_stats(p), seq_stats(code)
+    if left == right:
+        return None
+    return {
+        "perm": list(p),
+        "code": list(code),
+        "perm_stats": [list(part) for part in left],
+        "code_stats": [list(part) for part in right],
+    }
 
 
 def verify_five_tuples(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
-    """Pointwise transport of the five statistics, over all of S_n."""
+    """Pointwise transport of the five statistics, over all of S_n.
+
+    Counterexample keys: perm, code, perm_stats, code_stats; or perm,
+    error when checking the permutation raised.
+    """
     _check_args(n, cap, jobs)
-    results = _run_blocks(_five_tuple_block, n, _perm_blocks(n, jobs), jobs)
-    cases = sum(c for c, _ in results)
-    fail = next((f for _, f in results if f is not None), None)
+    cases, fail = _sweep(partial(_walk, leaf=_five_tuple_failure), n, jobs)
     return Report(n, "2", fail is None, cases, counterexample=fail)
 
 
-def _bijection_perm_block(n: int, block) -> tuple[int, bytes, dict | None]:
-    size = factorial(n)
-    hits = bytearray((size + 7) // 8)
-    cases = 0
-    for p in _iter_perm_block(n, block):
-        cases += 1
-        code = slice_encode(p)
-        r = seq_rank(code)
-        if hits[r >> 3] & (1 << (r & 7)):
-            return cases, bytes(hits), {
-                "code": list(code),
-                "perm": list(p),
-                "reason": "code already produced by an earlier permutation",
-            }
-        hits[r >> 3] |= 1 << (r & 7)
-        back = slice_decode(code)
-        if back != p:
-            return cases, bytes(hits), {
-                "perm": list(p),
-                "code": list(code),
-                "decoded": list(back),
-                "reason": "decode(encode(p)) differs from p",
-            }
-    return cases, bytes(hits), None
-
-
-def _bijection_seq_block(n: int, block) -> tuple[int, dict | None]:
-    cases = 0
-    for s in _iter_seq_block(n, block):
-        cases += 1
-        back = slice_encode(slice_decode(s))
-        if back != s:
-            return cases, {
-                "code": list(s),
-                "reencoded": list(back),
-                "reason": "encode(decode(s)) differs from s",
-            }
-    return cases, None
+def _decode_failure(p: Word, code: Word) -> dict | None:
+    """The bijection's obligation: the code of p is subexcedant and
+    decodes back to p."""
+    try:
+        check_subexcedant(code)
+    except InvalidWordError as exc:
+        reason = f"encode(p) is not subexcedant: {exc}"
+        return {"perm": list(p), "code": list(code), "reason": reason}
+    back = _inverse._decode(code)
+    if back == p:
+        return None
+    return {
+        "perm": list(p),
+        "code": list(code),
+        "decoded": list(back),
+        "reason": "decode(encode(p)) differs from p",
+    }
 
 
 def verify_bijection(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
-    """Distinct full image plus both round-trip identities."""
+    """The slice code is a bijection from S_n onto the subexcedant sequences.
+
+    Each code is subexcedant and decodes back to its permutation, so the
+    encoder is injective, hence onto the n! sequences, and the decoder is
+    its inverse.  On PASS cases counts both domains, 2 n!.  Counterexample
+    keys: perm, code, reason (and decoded, if it differs), or perm, error.
+    """
     _check_args(n, cap, jobs)
-    size = factorial(n)
-    perm_results = _run_blocks(
-        _bijection_perm_block, n, _perm_blocks(n, jobs), jobs
-    )
-    cases = sum(c for c, _, _ in perm_results)
-    fail = next((f for _, _, f in perm_results if f is not None), None)
-    if fail is None:
-        image = 0
-        for _, hits, _ in perm_results:
-            block_image = int.from_bytes(hits, "little")
-            overlap = image & block_image
-            if overlap:
-                dup = seq_unrank((overlap & -overlap).bit_length() - 1, n)
-                fail = {
-                    "code": list(dup),
-                    "reason": "code produced in two different blocks",
-                }
-                break
-            image |= block_image
-        if fail is None and image.bit_count() != size:
-            missed = next(
-                r for r in range(size) if not (image >> r) & 1
-            )
-            fail = {
-                "code": list(seq_unrank(missed, n)),
-                "reason": "subexcedant sequence never produced",
-            }
-    if fail is None:
-        seq_results = _run_blocks(
-            _bijection_seq_block, n, _seq_blocks(n, jobs), jobs
-        )
-        cases += sum(c for c, _ in seq_results)
-        fail = next((f for _, f in seq_results if f is not None), None)
+    cases, fail = _sweep(partial(_walk, leaf=_decode_failure), n, jobs)
+    cases *= 1 if fail else 2
     return Report(n, "bijection", fail is None, cases, counterexample=fail)
 
 
-def _exchange_block(n: int, block) -> tuple[int, dict, dict, dict | None]:
-    forward: dict = {}
-    swapped: dict = {}
-    cases = 0
-    for s in _iter_seq_block(n, block):
-        cases += 1
-        asc_s, row_s = len(ascent_set(s)), len(last_value_set(s))
-        forward[(asc_s, row_s)] = forward.get((asc_s, row_s), 0) + 1
-        swapped[(row_s, asc_s)] = swapped.get((row_s, asc_s), 0) + 1
-        t = slice_encode(invert(slice_decode(s)))
-        if (len(last_value_set(t)), len(ascent_set(t))) != (asc_s, row_s):
-            return cases, forward, swapped, {
+# (asc, row) of a code packs into the byte 1 + 16 asc + row (both are below
+# 16 for any n one can sweep); _SWAP maps it to the byte of (row, asc)
+_SWAP = bytes([0] + [1 + 16 * (k % 16) + k // 16 for k in range(255)])
+
+
+def _exchange_block(n: int, block: Word) -> tuple:
+    packed = bytearray()
+
+    def leaf(p: Word, code: Word) -> dict | None:
+        fail = _decode_failure(p, code)
+        if fail is None:
+            packed.append(1 + 16 * len(ascent_set(code)) + len(last_value_set(code)))
+        return fail
+
+    return _walk(n, block, leaf, packed)
+
+
+def _inverse_ranks(n: int) -> Iterator[int]:
+    """rank(p^-1) for the permutations p of S_n in lexicographic order,
+    as sum_k L(p)_k (n - p_k)! (L the Lehmer code) down the prefix tree."""
+    weight = [factorial(n - x) for x in range(n + 1)]
+
+    def descend(free, base):
+        if len(free) == 1:
+            yield base + (n - free[0]) * weight[free[0]]
+            return
+        for j, x in enumerate(free):
+            # L(p)_k: the values above x, less those above x still free
+            lehmer = n - x - (len(free) - 1 - j)
+            yield from descend(free[:j] + free[j + 1 :], base + lehmer * weight[x])
+
+    return descend(list(range(1, n + 1)), 0)
+
+
+def _exchange_failure(n: int, packed: bytearray) -> tuple[int, dict | None]:
+    for rank, inverse_rank in enumerate(_inverse_ranks(n)):
+        if packed[inverse_rank] != _SWAP[packed[rank]]:
+            p = _nth_perm(n, rank)
+            s, t = _slices.slice_encode(p), _slices.slice_encode(invert(p))
+            return rank + 1, {
                 "code": list(s),
                 "witness": list(t),
-                "asc": asc_s,
-                "row": row_s,
+                "asc": len(ascent_set(s)),
+                "row": len(last_value_set(s)),
                 "witness_asc": len(ascent_set(t)),
                 "witness_row": len(last_value_set(t)),
             }
-    return cases, forward, swapped, None
+    # the (asc, row) table counts byte b at key (asc, row), the (row, asc)
+    # table counts _SWAP[b] there; keys sort like their bytes
+    forward = Counter(packed)
+    keys = set(forward) | {_SWAP[byte] for byte in forward}
+    key = min((k for k in keys if forward[k] != forward[_SWAP[k]]), default=None)
+    if key is None:
+        return len(packed), None
+    return len(packed), {
+        "key": list(divmod(key - 1, 16)),
+        "forward": forward[key],
+        "swapped": forward[_SWAP[key]],
+        "reason": "joint tables differ",
+    }
 
 
 def verify_asc_row_exchange(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
@@ -407,101 +403,87 @@ def verify_asc_row_exchange(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Re
     to (row, asc) of the image pointwise.  The exchange is a statement
     about the cardinality statistics: the set-valued pair cannot exchange,
     since ascents live in 1..n-1 while row positions live in 2..n.
+
+    Each p first meets verify_bijection's obligation, which makes
+    encode(p^-1) the witness of encode(p); (asc, row) of each code is kept
+    at the rank of p for one pass comparing p with p^-1.  Counterexample
+    keys: verify_bijection's; code, witness, asc, row, witness_asc,
+    witness_row; or key, forward, swapped, reason (unequal joint tables).
     """
     _check_args(n, cap, jobs)
-    results = _run_blocks(_exchange_block, n, _seq_blocks(n, jobs), jobs)
-    cases = sum(c for c, _, _, _ in results)
-    fail = next((f for _, _, _, f in results if f is not None), None)
+    packed = bytearray()
+    cases, fail = _sweep(_exchange_block, n, jobs, packed.extend)
     if fail is None:
-        forward = DistTable(n)
-        swapped = DistTable(n)
-        for _, fwd, swp, _ in results:
-            forward = forward.merge(DistTable(n, fwd))
-            swapped = swapped.merge(DistTable(n, swp))
-        if forward.counts != swapped.counts:
-            keys = set(forward.counts) | set(swapped.counts)
-            key = next(
-                k
-                for k in sorted(keys)
-                if forward.counts.get(k, 0) != swapped.counts.get(k, 0)
-            )
-            fail = {
-                "key": list(key),
-                "forward": forward.counts.get(key, 0),
-                "swapped": swapped.counts.get(key, 0),
-                "reason": "joint tables differ",
-            }
+        cases, fail = _exchange_failure(n, packed)
     return Report(n, "corollary2", fail is None, cases, counterexample=fail)
 
 
-def _marginal_perm_block(n: int, block) -> tuple[int, Counter, Counter, Counter]:
-    des: Counter = Counter()
-    ides: Counter = Counter()
-    dumont: Counter = Counter()
-    cases = 0
-    for p in _iter_perm_block(n, block):
-        cases += 1
-        des[len(descent_set(p))] += 1
-        ides[len(inverse_descent_set(p))] += 1
-        dumont[dumont_stat(p)] += 1
-    return cases, des, ides, dumont
+def _marginal_block(n: int, block: Word) -> tuple:
+    """Counts of (statistic, value) over a block, des, ides and dumont."""
+    counts: Counter = Counter()
+    passed = 0
+    rest = [v for v in range(1, n + 1) if v not in block]
+    try:
+        for tail in itertools.permutations(rest):
+            p = (*block, *tail)
+            counts["des", len(descent_set(p))] += 1
+            counts["ides", len(inverse_descent_set(p))] += 1
+            counts["dumont", dumont_stat(p)] += 1
+            passed += 1
+    except Exception as exc:  # a bug in the checked code is a failure
+        return _failed(n, block, passed, exc)
+    return passed, None, counts
 
 
-def _marginal_seq_block(n: int, block) -> tuple[int, Counter, Counter]:
+def _seq_marginals(n: int) -> tuple[Counter, Counter]:
+    """asc and row over the subexcedant sequences of length n, by DPs over
+    (last entry, ascents) and k, the distinct nonzero entries so far."""
+    ascs, rows = Counter({(0, 0): 1}), Counter({0: 1})
+    for i in range(2, n + 1):  # entry i is one of 0..i-1
+        next_ascs, next_rows = Counter(), Counter()
+        for (last, asc), count in ascs.items():
+            for v in range(i):
+                next_ascs[v, asc + (v > last)] += count
+        for k, count in rows.items():
+            next_rows[k] += (1 + k) * count  # 0 or one of the k
+            next_rows[k + 1] += (i - 1 - k) * count  # another of 1..i-1
+        ascs, rows = next_ascs, next_rows
     asc: Counter = Counter()
-    row: Counter = Counter()
-    cases = 0
-    for s in _iter_seq_block(n, block):
-        cases += 1
-        asc[len(ascent_set(s))] += 1
-        row[len(last_value_set(s))] += 1
-    return cases, asc, row
+    for (_, a), count in ascs.items():
+        asc[a] += count
+    return asc, +rows  # without the zero counts
 
 
 def verify_eulerian_marginals(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Report:
     """des, ides, dumont (over permutations) and asc, row (over sequences)
-    all share one distribution."""
+    all share one distribution.
+
+    cases counts both domains, 2 n!.  Counterexample keys: stat, value,
+    count, expected; or perm, error when checking a permutation raised.
+    """
     _check_args(n, cap, jobs)
-    perm_results = _run_blocks(
-        _marginal_perm_block, n, _perm_blocks(n, jobs), jobs
-    )
-    seq_results = _run_blocks(
-        _marginal_seq_block, n, _seq_blocks(n, jobs), jobs
-    )
-    cases = sum(c for c, *_ in perm_results) + sum(
-        c for c, *_ in seq_results
-    )
+    counts: Counter = Counter()
+    cases, fail = _sweep(_marginal_block, n, jobs, counts.update)
+    if fail is not None:
+        return Report(n, "eulerian", False, cases, counterexample=fail)
     marginals = {
-        "des": Counter(),
-        "ides": Counter(),
-        "dumont": Counter(),
-        "asc": Counter(),
-        "row": Counter(),
+        name: Counter({v: c for (stat, v), c in counts.items() if stat == name})
+        for name in ("des", "ides", "dumont")
     }
-    for _, des, ides, dumont in perm_results:
-        marginals["des"] += des
-        marginals["ides"] += ides
-        marginals["dumont"] += dumont
-    for _, asc, row in seq_results:
-        marginals["asc"] += asc
-        marginals["row"] += row
+    marginals["asc"], marginals["row"] = _seq_marginals(n)
     reference = marginals["des"]
-    fail = None
     for name, counter in marginals.items():
-        if counter != reference:
-            value = next(
-                v
-                for v in sorted(set(reference) | set(counter))
-                if counter.get(v, 0) != reference.get(v, 0)
-            )
+        wrong = sorted(v for v in {*reference, *counter} if counter[v] != reference[v])
+        if wrong:
+            value = wrong[0]
             fail = {
                 "stat": name,
                 "value": value,
-                "count": counter.get(value, 0),
-                "expected": reference.get(value, 0),
+                "count": counter[value],
+                "expected": reference[value],
             }
             break
     table = {str(k): reference[k] for k in sorted(reference)}
     return Report(
-        n, "eulerian", fail is None, cases, counterexample=fail, table=table
+        n, "eulerian", fail is None, 2 * cases, counterexample=fail, table=table
     )

@@ -40,15 +40,18 @@ from collections.abc import Sequence
 
 from . import _fenwick as fenwick
 from .core import Word, check_subexcedant
-from .lehmer import lehmer_decode
+from .lehmer import _lehmer_decode, lehmer_encode
 from .slices import (
     REMOVE,
     SHRINK_BOTTOM,
     SHRINK_TOP,
     SPLIT,
+    _code_cases,
     _shift_labels,
-    code_cases,
+    profiles,
     relabel,
+    slice_encode,
+    slices,
 )
 
 __all__ = ["SegmentChain", "slice_decode", "roundtrip_check"]
@@ -254,8 +257,17 @@ def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
     """
     word = tuple(seq)
     check_subexcedant(word)
+    perm = _decode(word)
+    if check:
+        lehmer = lehmer_encode(perm)
+        _check_history(perm, _chain_history(word, _code_cases(word), lehmer))
+    return perm
+
+
+def _decode(word: Word) -> Word:
+    """slice_decode of a word already known to be subexcedant."""
+    cases = _code_cases(word)
     n = len(word)
-    cases = code_cases(word)
     live = [0] * (n + 2)  # over the labels 0..n
     fenwick.add(live, 0, 1)
     gaps = _Gaps()
@@ -270,11 +282,7 @@ def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
         assert (i > last_zero) == (gaps.top() > 0), (word, i)
         code.append(gaps.step(cases[i], v, entry))
         relabel(live, cases[i], entry, i + 1)
-    lehmer = tuple(code)
-    perm = lehmer_decode(lehmer)
-    if check:
-        _check_history(perm, lehmer, _chain_history(word, cases, lehmer))
-    return perm
+    return _lehmer_decode(tuple(code))
 
 
 def _chain_history(
@@ -297,12 +305,8 @@ def _chain_history(
 
 
 def _check_history(
-    perm: Word, code: Word, history: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    perm: Word, history: list[tuple[tuple[int, ...], tuple[int, ...]]]
 ) -> None:
-    from .lehmer import lehmer_encode
-    from .slices import profiles, slices
-
-    assert lehmer_encode(perm) == code
     slice_trace = slices(perm)
     profile_trace = profiles(perm)
     for (labels, cards), sl, pr in zip(history, slice_trace[1:], profile_trace):
@@ -315,7 +319,5 @@ def _check_history(
 
 def roundtrip_check(perm: Sequence[int]) -> bool:
     """Does decode(encode(perm)) reproduce perm exactly?"""
-    from .slices import slice_encode
-
     word = tuple(perm)
     return slice_decode(slice_encode(word)) == word

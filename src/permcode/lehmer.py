@@ -53,6 +53,11 @@ def lehmer_decode(seq: Sequence[int]) -> Word:
     """
     word = tuple(seq)
     check_subexcedant(word)
+    return _lehmer_decode(word)
+
+
+def _lehmer_decode(word: Word) -> Word:
+    """lehmer_decode of a word already known to be subexcedant."""
     n = len(word)
     free = list(range(1, n + 1))
     out = [0] * n

@@ -40,6 +40,7 @@ from collections.abc import Sequence
 
 from . import _fenwick as fenwick
 from .core import Word, check_permutation, check_subexcedant
+from .lehmer import lehmer_encode
 
 __all__ = [
     "SPLIT",
@@ -133,6 +134,11 @@ def code_cases(seq: Sequence[int]) -> tuple[int, ...]:
     """
     word = tuple(seq)
     check_subexcedant(word)
+    return _code_cases(word)
+
+
+def _code_cases(word: Word) -> Word:
+    """code_cases of a word already known to be subexcedant."""
     n = len(word)
     present = set(word)
     out = [0] * n
@@ -203,14 +209,46 @@ def _advance(
     return state, case
 
 
-def slice_encode(perm: Sequence[int]) -> Word:
-    """The slice code of a permutation.
+def _encode_start(n: int) -> tuple[bytearray, list[int], list[int], int]:
+    """The encoder's state before step 1: the consumed values (n + 1 counts
+    as one), Fenwick trees of the interval bottoms over 0..n and of the
+    live labels over 0..n-1, and the number of intervals."""
+    seen = bytearray(n + 2)
+    seen[n + 1] = 1
+    bottoms = [0] * (n + 2)
+    live = [0] * (n + 1)
+    fenwick.add(bottoms, 0, 1)  # the interval [0, n]
+    fenwick.add(live, 0, 1)  # with label 0
+    return seen, bottoms, live, 1
 
-    Runs in O(n log n) without materialising the intervals: they are
-    known by their bottoms, so the index of the interval holding a value
-    is the number of bottoms above it, and whether the value tops or
-    bottoms its interval is whether its successor or predecessor has been
-    seen.  One Fenwick tree holds the bottoms, a second the live labels.
+
+def _encode_step(seen, bottoms, live, count: int, step: int, x: int) -> tuple[int, int]:
+    """Encoder step `step` on the value x: (label, new count), the state
+    updated in place; the last step (step = n) only reads it.
+
+    The intervals are known by their bottoms: the index of the interval
+    holding x is the number of bottoms above it, and whether x tops or
+    bottoms its interval is whether x + 1 or x - 1 has been seen.
+    """
+    v = count - fenwick.prefix(bottoms, x + 1)  # intervals above x
+    label = fenwick.select(live, v)
+    if step == len(live) - 1:
+        return label, count
+    seen[x] = 1
+    # [x tops its interval] + 2 * [x bottoms it]
+    case = seen[x + 1] + 2 * seen[x - 1]
+    if case & SHRINK_BOTTOM:  # x was its interval's bottom
+        fenwick.add(bottoms, x, -1)
+        count -= 1
+    if not case & SHRINK_TOP:  # x + 1 becomes a bottom
+        fenwick.add(bottoms, x + 1, 1)
+        count += 1
+    relabel(live, case, label, step)
+    return label, count
+
+
+def slice_encode(perm: Sequence[int]) -> Word:
+    """The slice code of a permutation, in O(n log n) (see _encode_step).
 
     >>> slice_encode((6, 2, 5, 8, 7, 3, 1, 4))
     (0, 1, 1, 0, 2, 3, 6, 3)
@@ -221,32 +259,11 @@ def slice_encode(perm: Sequence[int]) -> Word:
     """
     word = tuple(perm)
     check_permutation(word)
-    n = len(word)
-    # seen[0] stays 0 (0 is never consumed); n + 1 counts as seen, so the
-    # case of x is [x tops its interval] + 2 * [x bottoms it]
-    seen = bytearray(n + 2)
-    seen[n + 1] = 1
-    bottoms = [0] * (n + 2)  # over 0..n
-    live = [0] * (n + 1)  # over 0..n-1
-    fenwick.add(bottoms, 0, 1)  # the interval [0, n]
-    fenwick.add(live, 0, 1)  # with label 0
-    count = 1  # number of intervals
+    seen, bottoms, live, count = _encode_start(len(word))
     out = []
     for step, x in enumerate(word, start=1):
-        v = count - fenwick.prefix(bottoms, x + 1)  # intervals above x
-        label = fenwick.select(live, v)
+        label, count = _encode_step(seen, bottoms, live, count, step, x)
         out.append(label)
-        if step == n:
-            break
-        seen[x] = 1
-        case = seen[x + 1] + 2 * seen[x - 1]
-        if case & SHRINK_BOTTOM:  # x was its interval's bottom
-            fenwick.add(bottoms, x, -1)
-            count -= 1
-        if not case & SHRINK_TOP:  # x + 1 becomes a bottom
-            fenwick.add(bottoms, x + 1, 1)
-            count += 1
-        relabel(live, case, label, step)
     return tuple(out)
 
 
@@ -265,7 +282,7 @@ def slices(perm: Sequence[int], check: bool = False) -> list[Slice]:
     n = len(word)
     state = [LabeledInterval(0, n, 0)]
     out = [Slice(0, tuple(state))]
-    lehmer = _lehmer_for_check(word) if check else None
+    lehmer = lehmer_encode(word) if check else None
     if check:
         _check_slice(out[0], word, lehmer)
     for step, value in enumerate(word[:-1], start=1):
@@ -275,12 +292,6 @@ def slices(perm: Sequence[int], check: bool = False) -> list[Slice]:
             _check_slice(sl, word, lehmer)
         out.append(sl)
     return out
-
-
-def _lehmer_for_check(word: Word) -> Word:
-    from .lehmer import lehmer_encode
-
-    return lehmer_encode(word)
 
 
 def _check_slice(sl: Slice, word: Word, lehmer: Word | None) -> None:

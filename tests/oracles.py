@@ -228,3 +228,29 @@ def lehmer_encode_pairwise(perm):
         sum(1 for i in range(j) if word[i] > word[j])
         for j in range(len(word))
     )
+
+
+# ---------------------------------------------------------------------------
+# Ranks of subexcedant sequences in counting order (the package's sweeps no
+# longer need them).
+
+from math import factorial  # noqa: E402
+
+
+def seq_rank(seq):
+    """Position of a subexcedant sequence in counting order, in 0..n!-1.
+
+    The rightmost entry varies fastest, so entry i carries weight n!/i!.
+    """
+    n = len(seq)
+    return sum(
+        v * (factorial(n) // factorial(i))
+        for i, v in enumerate(seq, start=1)
+    )
+
+
+def seq_unrank(rank, n):
+    """Inverse of seq_rank for length n."""
+    return tuple(
+        (rank // (factorial(n) // factorial(i))) % i for i in range(1, n + 1)
+    )

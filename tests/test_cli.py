@@ -171,6 +171,35 @@ def test_batch_trace_blocks_blank_separated(capsys, monkeypatch):
     )
 
 
+REPORTS = ROOT / "tests" / "data" / "reports"
+# Report bytes of verify and table, generated by the code before the
+# verifiers became one walk over S_n; they must never change.
+GOLDEN_REPORTS = [
+    (
+        ["verify", "--theorem", "all", "--n", str(n), "--format", fmt],
+        f"verify-all-n{n}.{ext}",
+    )
+    for n in range(1, 8)
+    for fmt, ext in (("text", "txt"), ("json", "json"))
+] + [
+    (
+        ["table", "--n", str(n), "--side", side, "--format", fmt],
+        f"table-{side}-n{n}.{ext}",
+    )
+    for n in range(1, 9)
+    for side in ("perms", "seqs")
+    for fmt, ext in (("text", "txt"), ("json", "json"))
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name", GOLDEN_REPORTS, ids=[name for _, name in GOLDEN_REPORTS]
+)
+def test_report_matches_golden_bytes(capsys, argv, name):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == (REPORTS / name).read_bytes()
+
+
 def test_verify_passes(capsys):
     assert run(["verify", "--n", "3"]) == 0
     out = capsys.readouterr().out

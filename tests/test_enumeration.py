@@ -1,6 +1,7 @@
 """Generators, distribution tables, verifiers, and the block contract."""
 
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -17,15 +18,9 @@ from permcode import (
     verify_eulerian_marginals,
     verify_five_tuples,
 )
-from permcode import enumeration
-from permcode.enumeration import (
-    _iter_perm_block,
-    _iter_seq_block,
-    _perm_blocks,
-    _seq_blocks,
-    seq_rank,
-    seq_unrank,
-)
+from permcode import ascent_set, enumeration, last_value_set, slice_encode
+from permcode.enumeration import _seq_marginals, _walk
+from oracles import seq_rank, seq_unrank
 
 
 def test_iter_perms_lexicographic():
@@ -78,15 +73,11 @@ def test_seq_rank_unrank():
             assert seq_unrank(rank, n) == s
 
 
-def test_dist_table_merge_and_total():
-    a = DistTable(3, {(0, 0): 1, (1, 1): 2})
-    b = DistTable(3, {(1, 1): 2, (2, 2): 1})
-    merged = a.merge(b)
-    assert merged.counts == {(0, 0): 1, (1, 1): 4, (2, 2): 1}
-    assert merged.total() == 6
-    assert a.merge(b).counts == b.merge(a).counts
-    with pytest.raises(ValueError):
-        a.merge(DistTable(4, {}))
+def test_dist_table_total():
+    table = DistTable(3, {(0, 0): 1, (1, 1): 4})
+    table.add((2, 2))
+    assert table.counts == {(0, 0): 1, (1, 1): 4, (2, 2): 1}
+    assert table.total() == 6
 
 
 def test_dist_table_matrix_and_polynomial():
@@ -149,39 +140,25 @@ def test_report_json_schema():
 
 
 def test_blocks_partition_streams():
-    n = 5
-    whole = list(_iter_perm_block(n, None))
-    blocks = _perm_blocks(n, jobs=4)
-    assert blocks != [None]
-    concatenated = [
-        p for block in blocks for p in _iter_perm_block(n, block)
-    ]
-    assert concatenated == whole  # contiguous and in order
-
-    whole = list(_iter_seq_block(n, None))
-    concatenated = [
-        s
-        for block in _seq_blocks(n, jobs=4)
-        for s in _iter_seq_block(n, block)
-    ]
-    assert concatenated == whole
+    # the walk's blocks, one per first entry, run in order, visit S_n in
+    # lexicographic order, each permutation with its slice code
+    for n in range(1, 6):
+        seen = []
+        blocks = [()] if n == 1 else [(first,) for first in range(1, n + 1)]
+        for block in blocks:
+            cases, fail, _ = _walk(n, block, lambda p, c: seen.append((p, c)))
+            assert fail is None and cases == factorial(n) // len(blocks)
+        assert [p for p, _ in seen] == list(iter_perms(n))
+        assert all(code == slice_encode(p) for p, code in seen)
 
 
-def test_block_merge_independent_of_partition():
-    # distribution built from block partials equals the single pass
-    n = 5
-    full = double_eulerian(n, side="seqs")
-    merged = DistTable(n)
-    for block in _seq_blocks(n, jobs=3):
-        part = DistTable(n)
-        for s in _iter_seq_block(n, block):
-            key = (
-                len([i for i in range(1, n) if s[i - 1] < s[i]]),
-                len(set(s) - {0}),
-            )
-            part.add(key)
-        merged = merged.merge(part)
-    assert merged.counts == full.counts
+def test_marginal_dps_match_enumeration():
+    for n in range(1, 9):
+        seqs = list(iter_subexcedant(n))
+        asc, row = _seq_marginals(n)
+        assert asc == Counter(len(ascent_set(s)) for s in seqs)
+        assert row == Counter(len(last_value_set(s)) for s in seqs)
+        assert 0 not in asc.values() and 0 not in row.values()
 
 
 def test_parallel_jobs_match_single_threaded():
@@ -226,9 +203,9 @@ class RecordingPool:
 @pytest.mark.parametrize(
     "jobs, cpus, n, workers",
     [
-        (64, 2, 5, [2, 2]),  # clamped to the CPUs
-        (64, 8, 3, [3, 6]),  # clamped to the 3 and the 6 blocks
-        (2, 8, 5, [2, 2]),
+        (64, 2, 5, [2]),  # clamped to the CPUs
+        (64, 8, 3, [3]),  # clamped to the 3 blocks
+        (2, 8, 5, [2]),
         (4, None, 5, []),  # CPU count unknown: one worker, no pool
         (1, 8, 5, []),
     ],

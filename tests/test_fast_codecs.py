@@ -11,7 +11,10 @@ from permcode import (
     REMOVE,
     SHRINK_BOTTOM,
     InvalidWordError,
+    lehmer_decode,
     lehmer_encode,
+    perm_stats,
+    seq_stats,
     slice_decode,
     slice_encode,
 )
@@ -51,6 +54,16 @@ def test_random_long_words_against_oracles(n, words):
         assert lehmer_encode(p) == oracles.lehmer_encode_pairwise(p)
         s = random_code(rng, n)
         assert slice_decode(s) == oracles.slice_decode_chain(s)
+
+
+def test_transport_and_round_trips_at_ten_thousand():
+    rng = random.Random(10_000)
+    for _ in range(3):
+        p = random_perm(rng, 10_000)
+        code = slice_encode(p)
+        assert perm_stats(p) == seq_stats(code)
+        assert slice_decode(code) == p
+        assert lehmer_decode(lehmer_encode(p)) == p
 
 
 @given(st.permutations(range(1, 41)))
