@@ -2,7 +2,8 @@
 
 A tree for counts c_0 .. c_{m-1} is a list of length m + 1 whose slot 0 is
 unused; element k lives at slot k + 1.  Point update, prefix sum and
-order-statistic select each take O(log m) steps.
+order-statistic select each take O(log m) steps.  lehmer_encode counts on
+one; the buckets of inverse._Gaps and _blist._BList are found on one.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ def prefix(tree: list[int], k: int) -> int:
     return total
 
 
-def select(tree: list[int], rank: int) -> int:
-    """The k with c_0 + ... + c_{k-1} <= rank < c_0 + ... + c_k.
+def select(tree: list[int], rank: int) -> tuple[int, int]:
+    """The k with c_0 + ... + c_{k-1} <= rank < c_0 + ... + c_k, and
+    rank - (c_0 + ... + c_{k-1}).
 
-    For 0/1 counts this is the element of the given rank (0-based) in the
-    set they mark.  The counts must be nonnegative and sum past rank.
+    For bucket lengths these are the bucket holding position `rank` and
+    the position within it.  The counts must be nonnegative and sum past
+    rank.
     """
     size = len(tree)
     pos = 0
@@ -54,4 +57,4 @@ def select(tree: list[int], rank: int) -> int:
             pos = nxt
             rank -= tree[nxt]
         bit >>= 1
-    return pos
+    return pos, rank

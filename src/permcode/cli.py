@@ -43,9 +43,9 @@ from .enumeration import (
     verify_eulerian_marginals,
     verify_five_tuples,
 )
-from .inverse import slice_decode
-from .lehmer import lehmer_decode, lehmer_encode
-from .slices import code_cases, profiles, slice_cases, slice_encode, slices
+from .inverse import _decode
+from .lehmer import _lehmer_decode, _lehmer_encode
+from .slices import _code_cases, _slice_cases, _slice_encode, profiles, slices
 
 __all__ = ["main"]
 
@@ -55,21 +55,25 @@ _STAT_NAMES = {
 }
 
 
+# The renderers get words _run_word_command has checked, so they call the
+# codec kernels, which do not check them again.
+
+
 def _encode_word(args: argparse.Namespace, word) -> list[str]:
-    coder = slice_encode if args.code == "b" else lehmer_encode
+    coder = _slice_encode if args.code == "b" else _lehmer_encode
     return [format_word(coder(word))]
 
 
 def _decode_word(args: argparse.Namespace, word) -> list[str]:
-    coder = slice_decode if args.code == "b" else lehmer_decode
+    coder = _decode if args.code == "b" else _lehmer_decode
     return [format_word(coder(word))]
 
 
 def _stats_lines(args: argparse.Namespace, word) -> list[str]:
     if args.kind == "perm":
-        stats, cases = perm_stats(word), slice_cases(word)
+        stats, cases = perm_stats(word), _slice_cases(word)
     else:
-        stats, cases = seq_stats(word), code_cases(word)
+        stats, cases = seq_stats(word), _code_cases(word)
     lines = [
         f"{name} = {format_positions(part)}"
         for name, part in zip(_STAT_NAMES[args.kind], stats)
@@ -80,7 +84,7 @@ def _stats_lines(args: argparse.Namespace, word) -> list[str]:
 
 def _stats_batch_line(args: argparse.Namespace, word) -> list[str]:
     stats = perm_stats(word) if args.kind == "perm" else seq_stats(word)
-    cases = slice_cases(word) if args.kind == "perm" else code_cases(word)
+    cases = _slice_cases(word) if args.kind == "perm" else _code_cases(word)
     sets = " ".join(format_positions(part) for part in stats)
     return [f"{sets} | {format_word(cases)}"]
 

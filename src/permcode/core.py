@@ -97,7 +97,7 @@ def parse_word(text: str) -> Word:
 
 def format_word(word: Sequence[int]) -> str:
     """Inverse of parse_word: ``format_word((3, 1, 2)) == '3 1 2'``."""
-    return " ".join(str(v) for v in word)
+    return " ".join(map(str, word))
 
 
 def format_positions(positions: Iterable[int]) -> str:
@@ -108,7 +108,7 @@ def format_positions(positions: Iterable[int]) -> str:
     >>> format_positions(())
     '{}'
     """
-    return "{" + " ".join(str(p) for p in positions) + "}"
+    return "{" + " ".join(map(str, positions)) + "}"
 
 
 def check_permutation(word: Sequence[int]) -> None:

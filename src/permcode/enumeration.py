@@ -205,7 +205,7 @@ def _walk(n: int, block: Word, leaf: Callable, payload=None) -> tuple:
             passed += fail is None
             return fail
         for j, x in enumerate(free):
-            s, b, v = bytearray(seen), bottoms[:], live[:]
+            s, b, v = bytearray(seen), bottoms.copy(), live.copy()
             perm[depth] = x
             code[depth], c = encode_step(s, b, v, count, step, x)
             fail = descend(step, free[:j] + free[j + 1 :], s, b, v, c)

@@ -27,17 +27,19 @@ chain is then rewritten by the case classification of the code
 relabels intervals.  After n steps the collected Lehmer entries decode to
 the permutation.
 
-slice_decode runs the same steps on a leaner state: a Fenwick tree of the
-live labels, where the slice index of s_i is its rank, and the profile
-counts alone, one per slice (_Gaps).  A step costs O(log n) plus one
-C-level sum inside a bucket of fewer than 2 * _LOAD counts.  The SegmentChain
-spells the state out and replays the decode under slice_decode(check=True).
+slice_decode runs the same steps on a leaner state: the sorted list of
+live labels (permcode._blist.container), where the slice index of s_i is
+its rank and the label rule is the encoder's, and the profile counts
+alone, one per slice (_Gaps).  A step costs O(log n) plus C-level work on
+a bucket of fewer than 2 * _LOAD entries.  The SegmentChain spells the
+state out and replays the decode under slice_decode(check=True).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import _blist
 from . import _fenwick as fenwick
 from .core import Word, check_subexcedant
 from .lehmer import _lehmer_decode, lehmer_encode
@@ -47,7 +49,6 @@ from .slices import (
     SHRINK_TOP,
     SPLIT,
     _code_cases,
-    _shift_labels,
     profiles,
     relabel,
     slice_encode,
@@ -95,7 +96,7 @@ class SegmentChain:
     def apply(self, case: int, entry: int, pos: int, step: int) -> None:
         """Rewrite for step `step`, consuming code entry `entry` at pos."""
         segs = self._segs
-        old_labels = [s[1] for s in segs if s[0] == _SLICE]
+        labels = [s[1] for s in segs if s[0] == _SLICE]
         v = sum(1 for s in segs[:pos] if s[0] == _SLICE)
         if case in (SHRINK_TOP, REMOVE):
             # the consumed value tops its interval; it is n exactly when
@@ -125,7 +126,7 @@ class SegmentChain:
             else:
                 segs[pos - 1][1] += 1 + below[1]
                 del segs[pos : pos + 2]
-        labels = _shift_labels(old_labels, case, v, step)
+        relabel(labels, case, v, step)
         slots = [s for s in segs if s[0] == _SLICE]
         assert len(slots) == len(labels), (segs, labels)
         for seg, lab in zip(slots, labels):
@@ -178,8 +179,7 @@ class _Gaps:
         if self._lens_tree is None:
             b, j = 0, v
         else:
-            b = fenwick.select(self._lens_tree, v)
-            j = v - fenwick.prefix(self._lens_tree, b)
+            b, j = fenwick.select(self._lens_tree, v)
         bucket = lists[b]
         if 2 * j < len(bucket):
             above = sum(bucket[: j + 1])
@@ -241,12 +241,12 @@ class _Gaps:
 def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
     """Inverse of permcode.slices.slice_encode.
 
-    Runs on the shape of the chain alone (see the module docstring): a
-    Fenwick tree of the live labels gives the slice index of each code
-    entry, and _Gaps the profile counts above it.  With check=True a SegmentChain replays
-    the decode, its invariants are verified after every step, and its
-    history is compared against the slices and profiles of the decoded
-    permutation.
+    Runs on the shape of the chain alone (see the module docstring): the
+    rank of each code entry among the live labels is its slice index, and
+    _Gaps gives the profile counts above it.  With check=True a
+    SegmentChain replays the decode, its invariants are verified after
+    every step, and its history is compared against the slices and
+    profiles of the decoded permutation.
 
     >>> slice_decode((0, 1, 1, 0, 2, 3, 6, 3))
     (6, 2, 5, 8, 7, 3, 1, 4)
@@ -268,20 +268,20 @@ def _decode(word: Word) -> Word:
     """slice_decode of a word already known to be subexcedant."""
     cases = _code_cases(word)
     n = len(word)
-    live = [0] * (n + 2)  # over the labels 0..n
-    fenwick.add(live, 0, 1)
+    live = _blist.container([0], n)
+    rank = _blist.ranker(live)
     gaps = _Gaps()
     # from step last_zero + 2 on no 0 remains in the code, i.e. the value
     # n is consumed already and the chain starts with a profile segment
     last_zero = n - 1 - word[::-1].index(0)
     code = []
     for i, entry in enumerate(word):
-        v = fenwick.prefix(live, entry)
-        # entry is a live label
-        assert fenwick.prefix(live, entry + 1) == v + 1, (word, i)
+        v = rank(live, entry)
+        # entry is a live label; the last one is i, so v is in range
+        assert live[v] == entry, (word, i)
         assert (i > last_zero) == (gaps.top() > 0), (word, i)
         code.append(gaps.step(cases[i], v, entry))
-        relabel(live, cases[i], entry, i + 1)
+        relabel(live, cases[i], v, i + 1)
     return _lehmer_decode(tuple(code))
 
 

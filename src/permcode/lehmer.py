@@ -6,14 +6,16 @@ whose j-th entry counts the inversions ending at j:
     L(p)_j = #{i < j : p_i > p_j}.
 
 It is a classical bijection onto the subexcedant sequences.  Encoding
-counts the smaller values seen so far on a Fenwick tree, in O(n log n);
-decoding picks values right to left by order statistics.
+counts the smaller values seen so far on a Fenwick tree; decoding pops
+values right to left from the sorted list of values not used yet, a
+bucketed one on long words (permcode._blist).  Both take O(n log n).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import _blist
 from . import _fenwick as fenwick
 from .core import Word, check_permutation, check_subexcedant, last_value_set
 
@@ -30,6 +32,11 @@ def lehmer_encode(perm: Sequence[int]) -> Word:
     """
     word = tuple(perm)
     check_permutation(word)
+    return _lehmer_encode(word)
+
+
+def _lehmer_encode(word: Word) -> Word:
+    """lehmer_encode of a word already known to be a permutation."""
     # seen values, at their own index: L(p)_j = j - #{seen values < p_j}
     seen = [0] * (len(word) + 2)
     out = []
@@ -59,7 +66,7 @@ def lehmer_decode(seq: Sequence[int]) -> Word:
 def _lehmer_decode(word: Word) -> Word:
     """lehmer_decode of a word already known to be subexcedant."""
     n = len(word)
-    free = list(range(1, n + 1))
+    free = _blist.container(range(1, n + 1), n)
     out = [0] * n
     for j in range(n, 0, -1):
         out[j - 1] = free.pop(j - word[j - 1] - 1)

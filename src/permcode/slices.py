@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 from collections.abc import Sequence
 
-from . import _fenwick as fenwick
+from . import _blist
 from .core import Word, check_permutation, check_subexcedant
 from .lehmer import lehmer_encode
 
@@ -107,6 +107,11 @@ def slice_cases(perm: Sequence[int]) -> tuple[int, ...]:
     """
     word = tuple(perm)
     check_permutation(word)
+    return _slice_cases(word)
+
+
+def _slice_cases(word: Word) -> Word:
+    """slice_cases of a word already known to be a permutation."""
     n = len(word)
     place = {v: i for i, v in enumerate(word)}
     out = []
@@ -157,31 +162,20 @@ def _locate(intervals: Sequence[LabeledInterval], value: int) -> int:
     raise AssertionError(f"value {value} lies in no interval: {intervals}")
 
 
-def _shift_labels(labels: Sequence[int], case: int, v: int, step: int) -> list[int]:
-    """Surviving labels after a step-`step` rewrite at list position v."""
-    kept = list(labels)
-    if case & SHRINK_BOTTOM:  # the last label dies, never the one at v
-        del kept[-1]
-    if case & SHRINK_TOP:  # the label at v dies
-        del kept[v]
-    kept.append(step)
-    return kept
+def relabel(labels: list[int], case: int, v: int, step: int) -> None:
+    """The labels after a step-`step` rewrite at list position v, in place.
 
-
-def relabel(live: list[int], case: int, label: int, step: int) -> None:
-    """The label rule of _shift_labels, by label value, on a Fenwick tree.
-
-    `live` counts the live labels (see permcode._fenwick) before the
-    step-`step` rewrite at the interval labeled `label`.  On SHRINK_TOP
-    and REMOVE that label dies; on SHRINK_BOTTOM and REMOVE the last label,
-    which is always step - 1, dies; then label step is born.  The encoder
-    and the decoder both relabel through here.
+    On SHRINK_TOP and REMOVE the label at v dies; on SHRINK_BOTTOM and
+    REMOVE the last label, never the one at v, dies; then label step is
+    born.  The encoder, the decoder, _advance and SegmentChain.apply all
+    relabel through here.
     """
     if case & SHRINK_TOP:
-        fenwick.add(live, label, -1)
+        del labels[v]
     if case & SHRINK_BOTTOM:
-        fenwick.add(live, step - 1, -1)
-    fenwick.add(live, step, 1)
+        labels[-1] = step
+    else:
+        labels.append(step)
 
 
 def _advance(
@@ -202,7 +196,8 @@ def _advance(
     else:
         case = REMOVE
         del spans[v]
-    labels = _shift_labels([iv.label for iv in intervals], case, v, step)
+    labels = [iv.label for iv in intervals]
+    relabel(labels, case, v, step)
     state = [
         LabeledInterval(a, b, lab) for (a, b), lab in zip(spans, labels)
     ]
@@ -211,40 +206,53 @@ def _advance(
 
 def _encode_start(n: int) -> tuple[bytearray, list[int], list[int], int]:
     """The encoder's state before step 1: the consumed values (n + 1 counts
-    as one), Fenwick trees of the interval bottoms over 0..n and of the
-    live labels over 0..n-1, and the number of intervals."""
+    as one), the negated interval bottoms and the live labels, both in
+    interval order (see permcode._blist.container), and the number of
+    intervals."""
     seen = bytearray(n + 2)
     seen[n + 1] = 1
-    bottoms = [0] * (n + 2)
-    live = [0] * (n + 1)
-    fenwick.add(bottoms, 0, 1)  # the interval [0, n]
-    fenwick.add(live, 0, 1)  # with label 0
-    return seen, bottoms, live, 1
+    # the interval [0, n] with label 0
+    return seen, _blist.container([0], n), _blist.container([0], n), 1
 
 
 def _encode_step(seen, bottoms, live, count: int, step: int, x: int) -> tuple[int, int]:
     """Encoder step `step` on the value x: (label, new count), the state
     updated in place; the last step (step = n) only reads it.
 
-    The intervals are known by their bottoms: the index of the interval
-    holding x is the number of bottoms above it, and whether x tops or
-    bottoms its interval is whether x + 1 or x - 1 has been seen.
+    The intervals are known by their bottoms, kept negated so that they
+    increase along the interval list: the index v of the interval holding
+    x is the number of bottoms above x, which indexes its label too.
+    Whether x tops or bottoms its interval is whether x + 1 or x - 1 has
+    been seen.
     """
-    v = count - fenwick.prefix(bottoms, x + 1)  # intervals above x
-    label = fenwick.select(live, v)
-    if step == len(live) - 1:
+    v = _blist.ranker(bottoms)(bottoms, -x)
+    label = live[v]
+    if step == len(seen) - 2:
         return label, count
     seen[x] = 1
     # [x tops its interval] + 2 * [x bottoms it]
     case = seen[x + 1] + 2 * seen[x - 1]
-    if case & SHRINK_BOTTOM:  # x was its interval's bottom
-        fenwick.add(bottoms, x, -1)
-        count -= 1
     if not case & SHRINK_TOP:  # x + 1 becomes a bottom
-        fenwick.add(bottoms, x + 1, 1)
-        count += 1
-    relabel(live, case, label, step)
+        if case & SHRINK_BOTTOM:  # in place of x
+            bottoms[v] = -x - 1
+        else:  # above the old bottom
+            bottoms.insert(v, -x - 1)
+            count += 1
+    elif case & SHRINK_BOTTOM:  # the interval was {x}
+        del bottoms[v]
+        count -= 1
+    relabel(live, case, v, step)
     return label, count
+
+
+def _slice_encode(word: Word) -> Word:
+    """slice_encode of a word already known to be a permutation."""
+    seen, bottoms, live, count = _encode_start(len(word))
+    out = []
+    for step, x in enumerate(word, start=1):
+        label, count = _encode_step(seen, bottoms, live, count, step, x)
+        out.append(label)
+    return tuple(out)
 
 
 def slice_encode(perm: Sequence[int]) -> Word:
@@ -259,12 +267,7 @@ def slice_encode(perm: Sequence[int]) -> Word:
     """
     word = tuple(perm)
     check_permutation(word)
-    seen, bottoms, live, count = _encode_start(len(word))
-    out = []
-    for step, x in enumerate(word, start=1):
-        label, count = _encode_step(seen, bottoms, live, count, step, x)
-        out.append(label)
-    return tuple(out)
+    return _slice_encode(word)
 
 
 def slices(perm: Sequence[int], check: bool = False) -> list[Slice]:

@@ -111,7 +111,9 @@ def preimages(code, encode):
 # The quadratic codecs the package shipped before its Fenwick-tree rewrite,
 # copied verbatim (only renamed) as references for the fast ones: the
 # interval walk of the slice encoder, the SegmentChain loop of the slice
-# decoder, and the pairwise Lehmer encoder.
+# decoder, and the pairwise Lehmer encoder; and the list.pop Lehmer decoder
+# the package shipped before its bucketed lists, which the SegmentChain loop
+# now calls in place of the package's.
 
 from typing import NamedTuple  # noqa: E402
 
@@ -124,7 +126,6 @@ from permcode import (  # noqa: E402
     check_permutation,
     check_subexcedant,
     code_cases,
-    lehmer_decode,
 )
 
 
@@ -217,7 +218,19 @@ def slice_decode_chain(seq):
         assert suffix_top[i] == chain.top_is_profile, (word, i)
         code.append(chain.covered_above(pos))
         chain.apply(cases[i], word[i], pos, step)
-    return lehmer_decode(tuple(code))
+    return lehmer_decode_pop(tuple(code))
+
+
+def lehmer_decode_pop(seq):
+    """Inverse of the Lehmer code by popping from a plain list, Θ(n²)."""
+    word = tuple(seq)
+    check_subexcedant(word)
+    n = len(word)
+    free = list(range(1, n + 1))
+    out = [0] * n
+    for j in range(n, 0, -1):
+        out[j - 1] = free.pop(j - word[j - 1] - 1)
+    return tuple(out)
 
 
 def lehmer_encode_pairwise(perm):

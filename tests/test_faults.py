@@ -59,8 +59,8 @@ def flipped_case_bit(monkeypatch):
     """The encoder's relabel sees the SHRINK_TOP bit flipped at step 3."""
     relabel = slices_module.relabel
 
-    def faulty(live, case, label, step):
-        relabel(live, case ^ SHRINK_TOP if step == 3 else case, label, step)
+    def faulty(labels, case, v, step):
+        relabel(labels, case ^ SHRINK_TOP if step == 3 else case, v, step)
 
     monkeypatch.setattr(slices_module, "relabel", faulty)
 
