@@ -41,7 +41,6 @@ from .core import (
     zero_set,
 )
 from .enumeration import (
-    DistTable,
     Report,
     double_eulerian,
     iter_perms,
@@ -51,7 +50,7 @@ from .enumeration import (
     verify_eulerian_marginals,
     verify_five_tuples,
 )
-from .inverse import SegmentChain, roundtrip_check, slice_decode
+from .inverse import slice_decode
 from .lehmer import dumont_stat, lehmer_decode, lehmer_encode
 from .slices import (
     REMOVE,
@@ -106,12 +105,9 @@ __all__ = [
     "slices",
     "profiles",
     "slice_encode",
-    "SegmentChain",
     "slice_decode",
-    "roundtrip_check",
     "iter_perms",
     "iter_subexcedant",
-    "DistTable",
     "Report",
     "double_eulerian",
     "verify_five_tuples",

@@ -3,7 +3,8 @@
 A tree for counts c_0 .. c_{m-1} is a list of length m + 1 whose slot 0 is
 unused; element k lives at slot k + 1.  Point update, prefix sum and
 order-statistic select each take O(log m) steps.  lehmer_encode counts on
-one; the buckets of inverse._Gaps and _blist._BList are found on one.
+one; _blist._BList and inverse._Gaps find their buckets on one, and _Gaps
+sums the profile counts of the buckets before one on another.
 """
 
 from __future__ import annotations

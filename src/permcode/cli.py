@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from collections.abc import Callable, Sequence
 
 from .core import (
@@ -69,11 +70,14 @@ def _decode_word(args: argparse.Namespace, word) -> list[str]:
     return [format_word(coder(word))]
 
 
-def _stats_lines(args: argparse.Namespace, word) -> list[str]:
+def _stats(args: argparse.Namespace, word) -> tuple:
     if args.kind == "perm":
-        stats, cases = perm_stats(word), _slice_cases(word)
-    else:
-        stats, cases = seq_stats(word), _code_cases(word)
+        return perm_stats(word), _slice_cases(word)
+    return seq_stats(word), _code_cases(word)
+
+
+def _stats_lines(args: argparse.Namespace, word) -> list[str]:
+    stats, cases = _stats(args, word)
     lines = [
         f"{name} = {format_positions(part)}"
         for name, part in zip(_STAT_NAMES[args.kind], stats)
@@ -83,8 +87,7 @@ def _stats_lines(args: argparse.Namespace, word) -> list[str]:
 
 
 def _stats_batch_line(args: argparse.Namespace, word) -> list[str]:
-    stats = perm_stats(word) if args.kind == "perm" else seq_stats(word)
-    cases = _slice_cases(word) if args.kind == "perm" else _code_cases(word)
+    stats, cases = _stats(args, word)
     sets = " ".join(format_positions(part) for part in stats)
     return [f"{sets} | {format_word(cases)}"]
 
@@ -173,24 +176,45 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _matrix(counts: Counter, n: int) -> list[list[int]]:
+    """The n x n matrix of counts keyed by (d, e) pairs, indexed [d][e]."""
+    return [[counts[d, e] for e in range(n)] for d in range(n)]
+
+
+def _polynomial(counts: Counter) -> str:
+    """Generating polynomial with the display shift (d, e) -> (d+1, e+1).
+
+    >>> _polynomial(Counter({(0, 0): 1, (1, 1): 4, (2, 2): 1}))
+    'u*v + 4*u^2*v^2 + u^3*v^3'
+    """
+    terms = []
+    for (d, e), cnt in sorted(counts.items()):
+        coeff = "" if cnt == 1 else f"{cnt}*"
+        u = "u" if d == 0 else f"u^{d + 1}"
+        v = "v" if e == 0 else f"v^{e + 1}"
+        terms.append(f"{coeff}{u}*{v}")
+    return " + ".join(terms) if terms else "0"
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    table = double_eulerian(args.n, side=args.side, cap=args.cap)
-    matrix = table.as_matrix()
+    counts = double_eulerian(args.n, side=args.side, cap=args.cap)
+    matrix = _matrix(counts, args.n)
+    total = sum(counts.values())
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "n": args.n,
                     "side": args.side,
-                    "total": table.total(),
+                    "total": total,
                     "matrix": matrix,
-                    "polynomial": table.polynomial(),
+                    "polynomial": _polynomial(counts),
                 },
                 indent=2,
             )
         )
     else:
-        print(f"n = {args.n}, side = {args.side}, total = {table.total()}")
+        print(f"n = {args.n}, side = {args.side}, total = {total}")
         width = max(len(str(c)) for row in matrix for c in row)
         width = max(width, len(str(args.n - 1)))
         header = " ".join(f"{e:>{width}}" for e in range(args.n))
@@ -199,7 +223,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for d, row in enumerate(matrix):
             cells = " ".join(f"{c:>{width}}" for c in row)
             print(f"{d:>{width + 2}} {cells}")
-        print(table.polynomial())
+        print(_polynomial(counts))
     return 0
 
 

@@ -6,7 +6,7 @@ exist, in what order, and how many values the profile gaps between them
 cover.  That shape is enough to recover the Lehmer code of the decoded
 permutation, entry by entry.
 
-Concretely, a SegmentChain mirrors a slice and its interleaved profile as
+Concretely, a segment chain mirrors a slice and its interleaved profile as
 one alternating top-to-bottom list of segments:
 
     [profile?] slice profile slice profile ... slice
@@ -27,12 +27,13 @@ chain is then rewritten by the case classification of the code
 relabels intervals.  After n steps the collected Lehmer entries decode to
 the permutation.
 
-slice_decode runs the same steps on a leaner state: the sorted list of
-live labels (permcode._blist.container), where the slice index of s_i is
-its rank and the label rule is the encoder's, and the profile counts
-alone, one per slice (_Gaps).  A step costs O(log n) plus C-level work on
-a bucket of fewer than 2 * _LOAD entries.  The SegmentChain spells the
-state out and replays the decode under slice_decode(check=True).
+slice_decode runs these steps on a leaner state: the sorted list of live
+labels (permcode._blist.container), where the slice index of s_i is its
+rank and the label rule is the encoder's, and the profile counts alone,
+one per slice (_Gaps).  A step costs O(log n) plus C-level work on a
+bucket of fewer than 2 * _LOAD entries.  The explicit chain, which replays
+the decode in Θ(n²) and checks it against the slices and profiles of the
+result, lives with the test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -42,116 +43,17 @@ from collections.abc import Sequence
 from . import _blist
 from . import _fenwick as fenwick
 from .core import Word, check_subexcedant
-from .lehmer import _lehmer_decode, lehmer_encode
-from .slices import (
-    REMOVE,
-    SHRINK_BOTTOM,
-    SHRINK_TOP,
-    SPLIT,
-    _code_cases,
-    profiles,
-    relabel,
-    slice_encode,
-    slices,
-)
+from .lehmer import _lehmer_decode
+from .slices import SHRINK_BOTTOM, SHRINK_TOP, SPLIT, _code_cases, relabel
 
-__all__ = ["SegmentChain", "slice_decode", "roundtrip_check"]
-
-_SLICE, _PROFILE = 0, 1
-
-
-class SegmentChain:
-    """Alternating slice/profile segments, top (largest values) first.
-
-    Internally one list of [kind, payload] pairs: a slice segment stores
-    its label, a profile segment the number of values it covers.
-    """
-
-    def __init__(self) -> None:
-        self._segs: list[list[int]] = [[_SLICE, 0]]  # one slice, label 0
-
-    @property
-    def top_is_profile(self) -> bool:
-        return self._segs[0][0] == _PROFILE
-
-    def slice_labels(self) -> tuple[int, ...]:
-        return tuple(s[1] for s in self._segs if s[0] == _SLICE)
-
-    def profile_cards(self) -> tuple[int, ...]:
-        return tuple(s[1] for s in self._segs if s[0] == _PROFILE)
-
-    def locate(self, label: int) -> int:
-        """Chain position of the slice segment with the given label."""
-        for pos, seg in enumerate(self._segs):
-            if seg[0] == _SLICE and seg[1] == label:
-                return pos
-        raise AssertionError(f"no slice segment labeled {label}")
-
-    def covered_above(self, pos: int) -> int:
-        """Values covered by profile segments above chain position pos."""
-        return sum(
-            seg[1] for seg in self._segs[:pos] if seg[0] == _PROFILE
-        )
-
-    def apply(self, case: int, entry: int, pos: int, step: int) -> None:
-        """Rewrite for step `step`, consuming code entry `entry` at pos."""
-        segs = self._segs
-        labels = [s[1] for s in segs if s[0] == _SLICE]
-        v = sum(1 for s in segs[:pos] if s[0] == _SLICE)
-        if case in (SHRINK_TOP, REMOVE):
-            # the consumed value tops its interval; it is n exactly when
-            # the located segment is the chain's top, which happens
-            # exactly on label 0
-            assert (pos == 0) == (entry == 0), (segs, entry)
-        if case == SPLIT:
-            segs[pos : pos + 1] = [[_SLICE, 0], [_PROFILE, 1], [_SLICE, 0]]
-        elif case == SHRINK_TOP:
-            if pos == 0:
-                segs.insert(0, [_PROFILE, 1])
-            else:
-                assert segs[pos - 1][0] == _PROFILE, segs
-                segs[pos - 1][1] += 1
-        elif case == SHRINK_BOTTOM:
-            # the freed minimum adjoins the profile below, which exists:
-            # the located interval held a value above 0, so it is not the
-            # chain's last segment
-            assert segs[pos + 1][0] == _PROFILE, segs
-            segs[pos + 1][1] += 1
-        else:
-            assert segs[pos + 1][0] == _PROFILE, segs
-            below = segs[pos + 1]
-            if pos == 0:
-                below[1] += 1
-                del segs[0]
-            else:
-                segs[pos - 1][1] += 1 + below[1]
-                del segs[pos : pos + 2]
-        relabel(labels, case, v, step)
-        slots = [s for s in segs if s[0] == _SLICE]
-        assert len(slots) == len(labels), (segs, labels)
-        for seg, lab in zip(slots, labels):
-            seg[1] = lab
-
-    def check(self, step: int) -> None:
-        """Structural invariants after `step` rewrites."""
-        segs = self._segs
-        kinds = [s[0] for s in segs]
-        assert all(
-            a != b for a, b in zip(kinds, kinds[1:])
-        ), "segments must alternate"
-        assert segs[-1][0] == _SLICE, "chain must end in a slice segment"
-        labels = self.slice_labels()
-        assert all(a < b for a, b in zip(labels, labels[1:])), labels
-        assert labels[-1] == step, (labels, step)
-        assert sum(self.profile_cards()) == step, segs
-
+__all__ = ["slice_decode"]
 
 # A bucket of _Gaps splits in half when it reaches 2 * _LOAD counts.
 _LOAD = 1000
 
 
 class _Gaps:
-    """The profile counts of a SegmentChain, one per slice segment.
+    """The profile counts of the segment chain, one per slice segment.
 
     gaps[v] is the number of values covered by the profile segment directly
     above slice v; gaps[0] is the top profile, 0 while there is none.  The
@@ -172,8 +74,8 @@ class _Gaps:
     def step(self, case: int, v: int, entry: int) -> int:
         """Values covered above slice v; then the `case` rewrite there.
 
-        The same rewrite as SegmentChain.apply, with its assertions, for
-        code entry `entry` located at slice v.
+        The chain rewrite of the module docstring, with its assertions,
+        for code entry `entry` located at slice v.
         """
         lists = self._lists
         if self._lens_tree is None:
@@ -238,15 +140,12 @@ class _Gaps:
             self._sums_tree = fenwick.build(self._sums)
 
 
-def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
+def slice_decode(seq: Sequence[int]) -> Word:
     """Inverse of permcode.slices.slice_encode.
 
     Runs on the shape of the chain alone (see the module docstring): the
     rank of each code entry among the live labels is its slice index, and
-    _Gaps gives the profile counts above it.  With check=True a
-    SegmentChain replays the decode, its invariants are verified after
-    every step, and its history is compared against the slices and
-    profiles of the decoded permutation.
+    _Gaps gives the profile counts above it.
 
     >>> slice_decode((0, 1, 1, 0, 2, 3, 6, 3))
     (6, 2, 5, 8, 7, 3, 1, 4)
@@ -257,11 +156,7 @@ def slice_decode(seq: Sequence[int], check: bool = False) -> Word:
     """
     word = tuple(seq)
     check_subexcedant(word)
-    perm = _decode(word)
-    if check:
-        lehmer = lehmer_encode(perm)
-        _check_history(perm, _chain_history(word, _code_cases(word), lehmer))
-    return perm
+    return _decode(word)
 
 
 def _decode(word: Word) -> Word:
@@ -283,41 +178,3 @@ def _decode(word: Word) -> Word:
         code.append(gaps.step(cases[i], v, entry))
         relabel(live, cases[i], v, i + 1)
     return _lehmer_decode(tuple(code))
-
-
-def _chain_history(
-    word: Word, cases: Word, code: Word
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Replay the decode on a SegmentChain, checking it after every step."""
-    n = len(word)
-    chain = SegmentChain()
-    history = []
-    for i in range(n):
-        step = i + 1
-        pos = chain.locate(word[i])
-        assert chain.top_is_profile == (0 not in word[i:]), (word, i)
-        assert chain.covered_above(pos) == code[i], (word, i)
-        chain.apply(cases[i], word[i], pos, step)
-        chain.check(step)
-        if step < n:
-            history.append((chain.slice_labels(), chain.profile_cards()))
-    return history
-
-
-def _check_history(
-    perm: Word, history: list[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> None:
-    slice_trace = slices(perm)
-    profile_trace = profiles(perm)
-    for (labels, cards), sl, pr in zip(history, slice_trace[1:], profile_trace):
-        assert labels == sl.labels(), (perm, sl.step)
-        assert cards == tuple(hi - lo + 1 for lo, hi in pr.intervals), (
-            perm,
-            pr.step,
-        )
-
-
-def roundtrip_check(perm: Sequence[int]) -> bool:
-    """Does decode(encode(perm)) reproduce perm exactly?"""
-    word = tuple(perm)
-    return slice_decode(slice_encode(word)) == word

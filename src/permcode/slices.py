@@ -40,7 +40,6 @@ from collections.abc import Sequence
 
 from . import _blist
 from .core import Word, check_permutation, check_subexcedant
-from .lehmer import lehmer_encode
 
 __all__ = [
     "SPLIT",
@@ -167,8 +166,7 @@ def relabel(labels: list[int], case: int, v: int, step: int) -> None:
 
     On SHRINK_TOP and REMOVE the label at v dies; on SHRINK_BOTTOM and
     REMOVE the last label, never the one at v, dies; then label step is
-    born.  The encoder, the decoder, _advance and SegmentChain.apply all
-    relabel through here.
+    born.  The encoder, the decoder and _advance all relabel through here.
     """
     if case & SHRINK_TOP:
         del labels[v]
@@ -270,50 +268,16 @@ def slice_encode(perm: Sequence[int]) -> Word:
     return _slice_encode(word)
 
 
-def slices(perm: Sequence[int], check: bool = False) -> list[Slice]:
-    """All slices of a permutation, from step 0 through step n - 1.
-
-    With check=True every slice is verified against the structural
-    invariants (decreasing disjoint intervals covering exactly the unseen
-    values plus 0, strictly increasing labels in 0..step with the last
-    equal to step, 0 in the last interval) and against the Lehmer code:
-    the entries of [p_{i+1}, n] *not* covered by the i-th slice count the
-    inversions ending at position i + 1.
-    """
+def slices(perm: Sequence[int]) -> list[Slice]:
+    """All slices of a permutation, from step 0 through step n - 1."""
     word = tuple(perm)
     check_permutation(word)
-    n = len(word)
-    state = [LabeledInterval(0, n, 0)]
+    state = [LabeledInterval(0, len(word), 0)]
     out = [Slice(0, tuple(state))]
-    lehmer = lehmer_encode(word) if check else None
-    if check:
-        _check_slice(out[0], word, lehmer)
     for step, value in enumerate(word[:-1], start=1):
         state, _ = _advance(state, _locate(state, value), value, step)
-        sl = Slice(step, tuple(state))
-        if check:
-            _check_slice(sl, word, lehmer)
-        out.append(sl)
+        out.append(Slice(step, tuple(state)))
     return out
-
-
-def _check_slice(sl: Slice, word: Word, lehmer: Word | None) -> None:
-    n = len(word)
-    ivs = sl.intervals
-    assert all(lo <= hi for lo, hi, _ in ivs), sl
-    # decreasing and disjoint with gaps
-    assert all(ivs[j].lo > ivs[j + 1].hi + 1 for j in range(len(ivs) - 1)), sl
-    covered = {x for lo, hi, _ in ivs for x in range(lo, hi + 1)}
-    assert covered == set(word[sl.step :]) | {0}, sl
-    labels = sl.labels()
-    assert labels[-1] == sl.step and ivs[-1].lo <= 0 <= ivs[-1].hi, sl
-    assert all(0 <= a < b for a, b in zip(labels, labels[1:])), sl
-    if lehmer is not None and sl.step < n:
-        nxt = word[sl.step]
-        above = sum(
-            max(0, min(hi, n) - max(lo, nxt) + 1) for lo, hi, _ in ivs
-        )
-        assert (n - nxt + 1) - above == lehmer[sl.step], sl
 
 
 def profiles(perm: Sequence[int]) -> list[Profile]:

@@ -58,6 +58,24 @@ def run_from_source(argv):
     )
 
 
+def test_imports_only_the_standard_library():
+    # zero runtime dependencies: importing the package and its CLI loads
+    # nothing from outside the standard library, even where sortedcontainers
+    # or numpy are installed; modules a site hook loads at start-up, and
+    # names aliasing __main__, are not the package's doing
+    script = (
+        "import sys; before = set(sys.modules); import permcode, permcode.cli; "
+        "main = sys.modules['__main__']; "
+        "print(*sorted({name.partition('.')[0] for name, module in "
+        "sys.modules.items() if name not in before and module is not main}))"
+    )
+    proc = run_from_source(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "permcode" in loaded and "concurrent" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"permcode"}
+
+
 def test_console_script_entry_point():
     module, function = console_script_target("permcode").split(":")
     # what the installed `permcode` script runs

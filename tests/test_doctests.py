@@ -8,7 +8,7 @@ import pytest
 
 @pytest.mark.parametrize(
     "name",
-    ["core", "lehmer", "slices", "inverse", "enumeration"],
+    ["core", "lehmer", "slices", "inverse", "enumeration", "cli"],
 )
 def test_module_doctests(name):
     module = importlib.import_module(f"permcode.{name}")

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from permcode import (
-    DistTable,
     UsageError,
     double_eulerian,
     iter_perms,
@@ -19,6 +18,7 @@ from permcode import (
     verify_five_tuples,
 )
 from permcode import ascent_set, enumeration, last_value_set, slice_encode
+from permcode.cli import _matrix, _polynomial
 from permcode.enumeration import _seq_marginals, _walk
 from oracles import seq_rank, seq_unrank
 
@@ -74,32 +74,58 @@ def test_seq_rank_unrank():
 
 
 def test_dist_table_total():
-    table = DistTable(3, {(0, 0): 1, (1, 1): 4})
-    table.add((2, 2))
-    assert table.counts == {(0, 0): 1, (1, 1): 4, (2, 2): 1}
-    assert table.total() == 6
+    table = double_eulerian(3, side="seqs")
+    assert table == Counter({(0, 0): 1, (1, 1): 4, (2, 2): 1})
+    assert sum(table.values()) == 6
 
 
 def test_dist_table_matrix_and_polynomial():
     table = double_eulerian(3)
-    assert table.counts == {(0, 0): 1, (1, 1): 4, (2, 2): 1}
-    assert table.as_matrix() == [[1, 0, 0], [0, 4, 0], [0, 0, 1]]
-    assert table.polynomial() == "u*v + 4*u^2*v^2 + u^3*v^3"
-    assert double_eulerian(1).polynomial() == "u*v"
+    assert table == Counter({(0, 0): 1, (1, 1): 4, (2, 2): 1})
+    assert _matrix(table, 3) == [[1, 0, 0], [0, 4, 0], [0, 0, 1]]
+    assert _polynomial(table) == "u*v + 4*u^2*v^2 + u^3*v^3"
+    assert _polynomial(double_eulerian(1)) == "u*v"
 
 
 def test_double_eulerian_sides_agree():
     for n in range(1, 7):
         perms_side = double_eulerian(n, side="perms")
         seqs_side = double_eulerian(n, side="seqs")
-        assert perms_side.counts == seqs_side.counts
-        assert perms_side.total() == factorial(n)
+        assert perms_side == seqs_side
+        assert sum(perms_side.values()) == factorial(n)
 
 
 def test_double_eulerian_transpose_symmetric():
     for n in range(1, 7):
-        counts = double_eulerian(n).counts
+        counts = double_eulerian(n)
         assert counts == {(e, d): c for (d, e), c in counts.items()}
+
+
+def test_double_eulerian_matches_carlitz_roselle_scoville():
+    # both sides of the table, and the Eulerian report's table, which holds
+    # the row sums A_n(s, 1)
+    for n in range(1, 9):
+        crs = oracles.carlitz_roselle_scoville(n)
+        assert double_eulerian(n, side="perms") == crs
+        assert double_eulerian(n, side="seqs") == crs
+        rows = Counter()
+        for (d, _), count in crs.items():
+            rows[d] += count
+        table = verify_eulerian_marginals(n).table
+        assert table == {str(d): count for d, count in sorted(rows.items())}
+
+
+def test_double_eulerian_is_gamma_positive():
+    for n in range(1, 9):
+        gamma = oracles.gamma_coefficients(double_eulerian(n), n)
+        assert gamma is not None, n
+        assert all(isinstance(g, int) and g >= 0 for g in gamma.values()), n
+    assert oracles.gamma_coefficients({(0, 0): 1, (1, 1): 4, (2, 2): 1}, 3) == {
+        (0, 0): 1,
+        (0, 1): 2,
+    }
+    # the (des, ides) table of S_3 less one identity is not palindromic
+    assert oracles.gamma_coefficients({(1, 1): 4, (2, 2): 1}, 3) is None
 
 
 def test_double_eulerian_rejects_bad_side():

@@ -47,10 +47,7 @@ DOCUMENTED_KEYS = {
     "2": [{"perm", "code", "perm_stats", "code_stats"}, ERROR_KEYS],
     "bijection": BIJECTION_KEYS,
     "corollary2": BIJECTION_KEYS
-    + [
-        {"code", "witness", "asc", "row", "witness_asc", "witness_row"},
-        {"key", "forward", "swapped", "reason"},
-    ],
+    + [{"code", "witness", "asc", "row", "witness_asc", "witness_row"}],
     "eulerian": [{"stat", "value", "count", "expected"}, ERROR_KEYS],
 }
 

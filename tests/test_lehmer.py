@@ -10,8 +10,11 @@ from permcode import (
     InvalidWordError,
     check_subexcedant,
     dumont_stat,
+    iter_perms,
     lehmer_decode,
     lehmer_encode,
+    perm_stats,
+    seq_stats,
 )
 
 
@@ -54,6 +57,20 @@ def test_total_counts_inversions(p):
         if p[i] > p[j]
     )
     assert sum(lehmer_encode(p)) == inversions
+
+
+def test_transports_all_but_ides_exhaustively():
+    # (Des, LrM, Lrm, RlM) of p are (Asc, Pos0, Max, Rlm) of its Lehmer
+    # code for every p; Ides and Row first differ at n = 4
+    mismatches = []
+    for n in range(1, 9):
+        differ = 0
+        for p in iter_perms(n):
+            left, right = perm_stats(p), seq_stats(lehmer_encode(p))
+            assert left[0] == right[0] and left[2:] == right[2:], p
+            differ += left[1] != right[1]
+        mismatches.append(differ)
+    assert mismatches == [0, 0, 0, 2, 25, 250, 2420, 24073]
 
 
 def test_dumont_golden():
